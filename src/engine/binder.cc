@@ -191,8 +191,49 @@ Result<BoundExprPtr> BindExprImpl(const sql::Expr& e, const Schema& schema) {
 
 }  // namespace
 
-bool BindsTo(const sql::Expr& expr, const Schema& schema) {
-  return BindExpr(expr, schema).ok();
+bool BindsTo(const sql::Expr& e, const Schema& schema) {
+  switch (e.kind) {
+    case sql::ExprKind::kLiteral:
+    case sql::ExprKind::kParameter:
+      return true;
+    case sql::ExprKind::kColumnRef:
+      return schema.Find(e.qualifier, e.column) < Schema::kAmbiguous;
+    case sql::ExprKind::kUnary:
+    case sql::ExprKind::kIsNull:
+    case sql::ExprKind::kInSet:
+      return BindsTo(*e.left, schema);
+    case sql::ExprKind::kBinary:
+      return BindsTo(*e.left, schema) && BindsTo(*e.right, schema);
+    case sql::ExprKind::kFunctionCall: {
+      exec::AggFunc agg;
+      if (exec::LookupAggFunc(e.func_name, &agg) ||
+          !exec::IsScalarCall(e.func_name, e.args.size())) {
+        return false;
+      }
+      for (const auto& arg : e.args) {
+        if (!BindsTo(*arg, schema)) return false;
+      }
+      return true;
+    }
+    case sql::ExprKind::kCase:
+      for (const auto& [when, then] : e.when_clauses) {
+        if (!BindsTo(*when, schema) || !BindsTo(*then, schema)) return false;
+      }
+      return e.else_clause == nullptr || BindsTo(*e.else_clause, schema);
+    case sql::ExprKind::kInList:
+      if (!BindsTo(*e.left, schema)) return false;
+      for (const auto& item : e.args) {
+        if (!BindsTo(*item, schema)) return false;
+      }
+      return true;
+    case sql::ExprKind::kWindow:
+    case sql::ExprKind::kStar:
+    case sql::ExprKind::kScalarSubquery:
+    case sql::ExprKind::kInSubquery:
+    case sql::ExprKind::kExists:
+      return false;
+  }
+  return false;
 }
 
 void SplitConjuncts(sql::ExprPtr expr, std::vector<sql::ExprPtr>* out) {

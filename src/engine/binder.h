@@ -18,8 +18,11 @@ namespace bornsql::engine {
 Result<exec::BoundExprPtr> BindExpr(const sql::Expr& expr,
                                     const Schema& schema);
 
-// True if `expr` binds against `schema` without error (used for predicate
-// placement during join planning).
+// True exactly when BindExpr(expr, schema) succeeds, without building the
+// bound tree or an error: the allocation-free probe behind predicate
+// placement during join planning. The two must accept the same expressions
+// (tests/fuzz_test.cc checks this differentially), so a change to what
+// BindExpr accepts must be mirrored here.
 bool BindsTo(const sql::Expr& expr, const Schema& schema);
 
 // Appends the top-level AND conjuncts of `expr` to `out` (ownership moves).

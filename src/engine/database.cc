@@ -139,14 +139,12 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
 }
 
 Status Database::ExecuteScript(std::string_view sql) {
-  // Lex once for per-statement normalized keys; the parser re-lexes
-  // internally (lexing is cheap next to execution).
-  std::vector<std::string> keys;
-  if (auto tokens = sql::Lex(sql); tokens.ok()) {
-    keys = NormalizeScriptTokens(*tokens);
-  }
+  // Lex once: the tokens give the per-statement normalized keys, then the
+  // parser consumes them.
+  BORNSQL_ASSIGN_OR_RETURN(std::vector<sql::Token> tokens, sql::Lex(sql));
+  const std::vector<std::string> keys = NormalizeScriptTokens(tokens);
   BORNSQL_ASSIGN_OR_RETURN(std::vector<sql::Statement> stmts,
-                           sql::ParseScript(sql));
+                           sql::ParseScriptTokens(std::move(tokens)));
   for (size_t i = 0; i < stmts.size(); ++i) {
     StatementContext ctx;
     BeginStatement(&ctx);

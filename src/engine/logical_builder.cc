@@ -1,5 +1,6 @@
 #include "engine/logical_builder.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/strings.h"
@@ -8,27 +9,30 @@
 
 namespace bornsql::engine {
 
-using exec::BoundExprPtr;
 using plan::LogicalKind;
 using plan::LogicalPtr;
 
 namespace {
 
 // RAII push/pop of one CTE scope.
+template <typename Scope>
 class ScopeGuard {
  public:
-  explicit ScopeGuard(
-      std::vector<std::unordered_map<
-          std::string, std::shared_ptr<plan::CteBinding>>>* scopes)
-      : scopes_(scopes) {
+  explicit ScopeGuard(std::vector<Scope>* scopes) : scopes_(scopes) {
     scopes_->emplace_back();
   }
   ~ScopeGuard() { scopes_->pop_back(); }
 
  private:
-  std::vector<std::unordered_map<std::string,
-                                 std::shared_ptr<plan::CteBinding>>>* scopes_;
+  std::vector<Scope>* scopes_;
 };
+
+// BindExpr's status without building the bound tree when `e` binds: the
+// builder validates, lowering binds.
+Status CheckBinds(const sql::Expr& e, const Schema& schema) {
+  if (BindsTo(e, schema)) return Status::OK();
+  return BindExpr(e, schema).status();
+}
 
 // Collects distinct (structurally) aggregate calls in `e` into `out`.
 void CollectAggCalls(const sql::Expr& e, std::vector<const sql::Expr*>* out) {
@@ -178,14 +182,26 @@ void CollectColumnRefs(const sql::Expr& e,
   if (e.else_clause) CollectColumnRefs(*e.else_clause, out);
 }
 
+// A pulled-up derived table's output columns: exposed name -> projected
+// expression. Names compare case-insensitively; a later duplicate shadows
+// an earlier one.
+using Substitutions = std::vector<std::pair<std::string_view, const sql::Expr*>>;
+
+const sql::Expr* FindSubstitution(const Substitutions& subs,
+                                  std::string_view name) {
+  for (auto it = subs.rbegin(); it != subs.rend(); ++it) {
+    if (EqualsIgnoreCase(it->first, name)) return it->second;
+  }
+  return nullptr;
+}
+
 // Replaces `alias.col` references inside *e using the substitution map.
-void SubstituteAliasRefs(
-    sql::ExprPtr* e, const std::string& alias,
-    const std::unordered_map<std::string, const sql::Expr*>& subs) {
+void SubstituteAliasRefs(sql::ExprPtr* e, const std::string& alias,
+                         const Substitutions& subs) {
   if ((*e)->kind == sql::ExprKind::kColumnRef) {
     if (EqualsIgnoreCase((*e)->qualifier, alias)) {
-      auto it = subs.find(AsciiToLower((*e)->column));
-      if (it != subs.end()) *e = sql::CloneExpr(*it->second);
+      const sql::Expr* sub = FindSubstitution(subs, (*e)->column);
+      if (sub != nullptr) *e = sql::CloneExpr(*sub);
     }
     return;
   }
@@ -206,6 +222,13 @@ void SubstituteAliasRefs(
   }
 }
 
+// True if `ref` is a derived table pull-up may merge into its query.
+bool IsPullUpCandidate(const sql::TableRef& ref) {
+  return ref.subquery != nullptr && !ref.alias.empty() &&
+         ref.join_kind != sql::TableRef::JoinKind::kLeft &&
+         IsSimpleProjection(*ref.subquery);
+}
+
 // Pulls simple-projection derived tables up into `core`, rewriting
 // `order_exprs` alongside. Conservative: bails out per-ref on stars or on
 // references it cannot prove safe. Returns the number of refs pulled up.
@@ -217,16 +240,14 @@ int PullUpSimpleSubqueries(sql::SelectCore* core,
   }
   int counter = 0;
   for (sql::TableRef& ref : core->from) {
-    if (ref.subquery == nullptr || ref.alias.empty()) continue;
-    if (ref.join_kind == sql::TableRef::JoinKind::kLeft) continue;
-    if (!IsSimpleProjection(*ref.subquery)) continue;
+    if (!IsPullUpCandidate(ref)) continue;
     const sql::SelectCore& inner = ref.subquery->cores[0];
 
     // Output map: exposed column name -> inner expression.
-    std::unordered_map<std::string, const sql::Expr*> subs;
+    Substitutions subs;
     bool nameable = true;
     for (const sql::SelectItem& item : inner.items) {
-      std::string name = item.alias;
+      std::string_view name = item.alias;
       if (name.empty() && item.expr->kind == sql::ExprKind::kColumnRef) {
         name = item.expr->column;
       }
@@ -234,7 +255,7 @@ int PullUpSimpleSubqueries(sql::SelectCore* core,
         nameable = false;
         break;
       }
-      subs[AsciiToLower(name)] = item.expr.get();
+      subs.emplace_back(name, item.expr.get());
     }
     if (!nameable) continue;
 
@@ -258,9 +279,9 @@ int PullUpSimpleSubqueries(sql::SelectCore* core,
       CollectColumnRefs(**e, &refs);
       for (const sql::Expr* r : refs) {
         if (EqualsIgnoreCase(r->qualifier, ref.alias)) {
-          if (subs.find(AsciiToLower(r->column)) == subs.end()) safe = false;
+          if (FindSubstitution(subs, r->column) == nullptr) safe = false;
         } else if (r->qualifier.empty() &&
-                   subs.find(AsciiToLower(r->column)) != subs.end()) {
+                   FindSubstitution(subs, r->column) != nullptr) {
           safe = false;
         }
       }
@@ -272,11 +293,11 @@ int PullUpSimpleSubqueries(sql::SelectCore* core,
     std::string new_alias = StrFormat("#pu%d_%s", counter++,
                                       ref.alias.c_str());
     std::vector<sql::ExprPtr> owned;
-    std::unordered_map<std::string, const sql::Expr*> requalified;
-    for (auto& [name, expr] : subs) {
+    Substitutions requalified;
+    for (const auto& [name, expr] : subs) {
       sql::ExprPtr clone = sql::CloneExpr(*expr);
       RequalifyColumns(clone.get(), new_alias);
-      requalified[name] = clone.get();
+      requalified.emplace_back(name, clone.get());
       owned.push_back(std::move(clone));
     }
     for (sql::ExprPtr* e : outer_exprs) {
@@ -287,6 +308,48 @@ int PullUpSimpleSubqueries(sql::SelectCore* core,
     ref.subquery.reset();
   }
   return counter;
+}
+
+// True if `e` holds a subquery node FoldSubqueries would fold.
+bool HasSubquery(const sql::Expr& e) {
+  switch (e.kind) {
+    case sql::ExprKind::kScalarSubquery:
+    case sql::ExprKind::kInSubquery:
+    case sql::ExprKind::kExists:
+      return true;
+    default:
+      break;
+  }
+  if (e.left && HasSubquery(*e.left)) return true;
+  if (e.right && HasSubquery(*e.right)) return true;
+  for (const auto& a : e.args) {
+    if (HasSubquery(*a)) return true;
+  }
+  for (const auto& p : e.partition_by) {
+    if (HasSubquery(*p)) return true;
+  }
+  for (const auto& [oe, d] : e.window_order_by) {
+    if (HasSubquery(*oe)) return true;
+  }
+  for (const auto& [w, t] : e.when_clauses) {
+    if (HasSubquery(*w) || HasSubquery(*t)) return true;
+  }
+  return e.else_clause && HasSubquery(*e.else_clause);
+}
+
+// True if any expression of `core` that BuildCore folds holds a subquery.
+bool CoreHasSubquery(const sql::SelectCore& core) {
+  for (const sql::SelectItem& item : core.items) {
+    if (item.expr && HasSubquery(*item.expr)) return true;
+  }
+  for (const sql::ExprPtr& g : core.group_by) {
+    if (HasSubquery(*g)) return true;
+  }
+  for (const sql::TableRef& ref : core.from) {
+    if (ref.join_condition && HasSubquery(*ref.join_condition)) return true;
+  }
+  return (core.where && HasSubquery(*core.where)) ||
+         (core.having && HasSubquery(*core.having));
 }
 
 // Expands stars against `schema` and names every output column.
@@ -332,10 +395,13 @@ Result<std::vector<ExpandedItem>> ExpandItems(
 
 std::shared_ptr<plan::CteBinding> LogicalBuilder::FindCte(
     const std::string& name) const {
-  std::string key = AsciiToLower(name);
-  for (auto it = cte_scopes_.rbegin(); it != cte_scopes_.rend(); ++it) {
-    auto found = it->find(key);
-    if (found != it->end()) return found->second;
+  // Innermost scope first; within a WITH list a later duplicate name
+  // shadows an earlier one.
+  for (auto scope = cte_scopes_.rbegin(); scope != cte_scopes_.rend();
+       ++scope) {
+    for (auto it = scope->rbegin(); it != scope->rend(); ++it) {
+      if (EqualsIgnoreCase((*it)->name, name)) return *it;
+    }
   }
   return nullptr;
 }
@@ -424,12 +490,12 @@ Status LogicalBuilder::FoldSubqueries(sql::Expr* e) {
 }
 
 Result<LogicalPtr> LogicalBuilder::BuildStmt(const sql::SelectStmt& stmt) {
-  ScopeGuard scope(&cte_scopes_);
+  ScopeGuard<CteScope> scope(&cte_scopes_);
   for (const sql::CommonTableExpr& cte : stmt.ctes) {
     auto binding = std::make_shared<plan::CteBinding>();
     binding->name = cte.name;
     binding->stmt = cte.select.get();
-    cte_scopes_.back()[AsciiToLower(cte.name)] = std::move(binding);
+    cte_scopes_.back().push_back(std::move(binding));
   }
 
   // Cores (UNION ALL chain). A single core handles ORDER BY itself so sort
@@ -477,9 +543,7 @@ Result<LogicalPtr> LogicalBuilder::BuildStmt(const sql::SelectStmt& stmt) {
           }
           key.ordinal = static_cast<size_t>(ordinal - 1);
         } else {
-          BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b,
-                                   BindExpr(*item.expr, op->schema));
-          (void)b;  // validation only; lowering re-binds
+          BORNSQL_RETURN_IF_ERROR(CheckBinds(*item.expr, op->schema));
           key.expr = sql::CloneExpr(*item.expr);
         }
         keys.push_back(std::move(key));
@@ -619,10 +683,8 @@ Result<LogicalPtr> LogicalBuilder::BuildFrom(
           }
         }
         if (!(all_equi && !on.empty()) && ref.join_condition != nullptr) {
-          BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr pred,
-                                   BindExpr(*ref.join_condition,
-                                            join->schema));
-          (void)pred;  // validation only; lowering re-binds
+          BORNSQL_RETURN_IF_ERROR(
+              CheckBinds(*ref.join_condition, join->schema));
         }
         if (ref.join_condition != nullptr) {
           join->on_condition = sql::CloneExpr(*ref.join_condition);
@@ -652,11 +714,7 @@ Result<LogicalPtr> LogicalBuilder::BuildFrom(
         break;
       }
     }
-    if (!binds) {
-      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr pred,
-                               BindExpr(*c, current->schema));
-      (void)pred;  // not reached: BindsTo false on every subtree
-    }
+    if (!binds) BORNSQL_RETURN_IF_ERROR(CheckBinds(*c, current->schema));
   }
   return current;
 }
@@ -664,36 +722,49 @@ Result<LogicalPtr> LogicalBuilder::BuildFrom(
 Result<LogicalPtr> LogicalBuilder::BuildCore(
     const sql::SelectCore& original_core,
     const std::vector<sql::OrderItem>* order_by) {
-  // Work on a private copy: derived-table pull-up rewrites the core and
-  // the ORDER BY expressions in place.
-  sql::SelectCore core = sql::CloneCore(original_core);
   std::vector<sql::ExprPtr> order_exprs;
   if (order_by != nullptr) {
     for (const sql::OrderItem& item : *order_by) {
       order_exprs.push_back(sql::CloneExpr(*item.expr));
     }
   }
+  // Derived-table pull-up and subquery folding rewrite the core in place,
+  // so a core that either may rewrite is built from a private copy; every
+  // other core is read as parsed.
+  const bool pullup =
+      config_->rules.derived_table_pullup &&
+      std::any_of(original_core.from.begin(), original_core.from.end(),
+                  IsPullUpCandidate);
+  const bool copied = pullup || CoreHasSubquery(original_core);
+  sql::SelectCore rewritten;
+  if (copied) rewritten = sql::CloneCore(original_core);
+  const sql::SelectCore& core = copied ? rewritten : original_core;
   if (config_->rules.derived_table_pullup) {
-    int pulled = PullUpSimpleSubqueries(&core, &order_exprs);
+    const int pulled =
+        pullup ? PullUpSimpleSubqueries(&rewritten, &order_exprs) : 0;
     if (stats_ != nullptr) {
       stats_->Record("derived_table_pullup", static_cast<uint64_t>(pulled));
     }
   }
 
   // Fold uncorrelated subqueries everywhere an expression may hold one.
-  for (sql::SelectItem& item : core.items) {
-    if (item.expr) BORNSQL_RETURN_IF_ERROR(FoldSubqueries(item.expr.get()));
-  }
-  if (core.where) BORNSQL_RETURN_IF_ERROR(FoldSubqueries(core.where.get()));
-  for (sql::ExprPtr& g : core.group_by) {
-    BORNSQL_RETURN_IF_ERROR(FoldSubqueries(g.get()));
-  }
-  if (core.having) {
-    BORNSQL_RETURN_IF_ERROR(FoldSubqueries(core.having.get()));
-  }
-  for (sql::TableRef& ref : core.from) {
-    if (ref.join_condition) {
-      BORNSQL_RETURN_IF_ERROR(FoldSubqueries(ref.join_condition.get()));
+  if (copied) {
+    for (sql::SelectItem& item : rewritten.items) {
+      if (item.expr) BORNSQL_RETURN_IF_ERROR(FoldSubqueries(item.expr.get()));
+    }
+    if (rewritten.where) {
+      BORNSQL_RETURN_IF_ERROR(FoldSubqueries(rewritten.where.get()));
+    }
+    for (sql::ExprPtr& g : rewritten.group_by) {
+      BORNSQL_RETURN_IF_ERROR(FoldSubqueries(g.get()));
+    }
+    if (rewritten.having) {
+      BORNSQL_RETURN_IF_ERROR(FoldSubqueries(rewritten.having.get()));
+    }
+    for (sql::TableRef& ref : rewritten.from) {
+      if (ref.join_condition) {
+        BORNSQL_RETURN_IF_ERROR(FoldSubqueries(ref.join_condition.get()));
+      }
     }
   }
   for (sql::ExprPtr& o : order_exprs) {
@@ -702,7 +773,9 @@ Result<LogicalPtr> LogicalBuilder::BuildCore(
 
   std::vector<sql::ExprPtr> conjuncts;
   if (core.where != nullptr) {
-    SplitConjuncts(std::move(core.where), &conjuncts);
+    SplitConjuncts(
+        copied ? std::move(rewritten.where) : sql::CloneExpr(*core.where),
+        &conjuncts);
   }
   BORNSQL_ASSIGN_OR_RETURN(LogicalPtr input, BuildFrom(core, &conjuncts));
 
@@ -735,7 +808,8 @@ Result<LogicalPtr> LogicalBuilder::BuildCore(
       core.having != nullptr ? sql::CloneExpr(*core.having) : nullptr;
 
   if (has_agg) {
-    const Schema in_schema = input->schema;
+    // The node outlives `input`'s hand-off to its parent below.
+    const Schema& in_schema = input->schema;
     // Group expressions, with select-alias substitution (PostgreSQL/SQLite
     // allow GROUP BY <output alias>).
     std::vector<sql::ExprPtr> group_exprs;
@@ -756,11 +830,11 @@ Result<LogicalPtr> LogicalBuilder::BuildCore(
 
     Schema agg_schema;
     for (size_t i = 0; i < group_exprs.size(); ++i) {
-      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b,
-                               BindExpr(*group_exprs[i], in_schema));
+      const sql::Expr& g = *group_exprs[i];
+      BORNSQL_RETURN_IF_ERROR(CheckBinds(g, in_schema));
       Column col;
-      if (group_exprs[i]->kind == sql::ExprKind::kColumnRef) {
-        col = in_schema.column(b->column_index);
+      if (g.kind == sql::ExprKind::kColumnRef) {
+        col = in_schema.column(in_schema.Find(g.qualifier, g.column));
       } else {
         col = Column{"", StrFormat("#g%zu", i), ValueType::kNull};
       }
@@ -789,9 +863,7 @@ Result<LogicalPtr> LogicalBuilder::BuildCore(
           call.args[0]->kind == sql::ExprKind::kStar) {
         // COUNT(*): no argument to validate.
       } else if (call.args.size() == 1) {
-        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr arg,
-                                 BindExpr(*call.args[0], in_schema));
-        (void)arg;  // validation only; lowering re-binds
+        BORNSQL_RETURN_IF_ERROR(CheckBinds(*call.args[0], in_schema));
       } else {
         return Status::BindError("aggregate " + call.func_name +
                                  "() takes exactly one argument");
@@ -800,7 +872,7 @@ Result<LogicalPtr> LogicalBuilder::BuildCore(
     }
 
     LogicalPtr agg = plan::MakeLogical(LogicalKind::kAggregate);
-    agg->schema = agg_schema;
+    agg->schema = std::move(agg_schema);
     agg->group_exprs = std::move(group_exprs);
     agg->agg_calls = std::move(agg_calls);
     agg->children.push_back(std::move(input));
@@ -811,12 +883,13 @@ Result<LogicalPtr> LogicalBuilder::BuildCore(
         std::pair<const sql::Expr*, std::pair<std::string, std::string>>>
         replacements;
     for (size_t i = 0; i < input->group_exprs.size(); ++i) {
-      const Column& col = agg_schema.column(i);
+      const Column& col = input->schema.column(i);
       replacements.emplace_back(input->group_exprs[i].get(),
                                 std::make_pair(col.qualifier, col.name));
     }
     for (size_t k = 0; k < input->agg_calls.size(); ++k) {
-      const Column& col = agg_schema.column(input->group_exprs.size() + k);
+      const Column& col =
+          input->schema.column(input->group_exprs.size() + k);
       replacements.emplace_back(input->agg_calls[k].get(),
                                 std::make_pair(col.qualifier, col.name));
     }
@@ -828,9 +901,7 @@ Result<LogicalPtr> LogicalBuilder::BuildCore(
     }
     if (having != nullptr) {
       having = RewriteWithReplacements(*having, replacements);
-      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr pred,
-                               BindExpr(*having, input->schema));
-      (void)pred;  // validation only; lowering re-binds
+      BORNSQL_RETURN_IF_ERROR(CheckBinds(*having, input->schema));
       // HAVING stays one unsplit conjunct: the old planner emitted a single
       // FilterOp for it, and plan goldens pin that shape.
       LogicalPtr hf = plan::MakeLogical(LogicalKind::kFilter);
@@ -852,7 +923,7 @@ Result<LogicalPtr> LogicalBuilder::BuildCore(
     CollectWindowCalls(*o, &window_call_ptrs);
   }
   if (!window_call_ptrs.empty()) {
-    const Schema in_schema = input->schema;
+    const Schema& in_schema = input->schema;
     std::vector<plan::WindowItem> window_items;
     for (size_t i = 0; i < window_call_ptrs.size(); ++i) {
       sql::ExprPtr call = sql::CloneExpr(*window_call_ptrs[i]);
@@ -872,12 +943,10 @@ Result<LogicalPtr> LogicalBuilder::BuildCore(
                                  "() requires an ORDER BY in its window");
       }
       for (const sql::ExprPtr& p : call->partition_by) {
-        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*p, in_schema));
-        (void)b;  // validation only; lowering re-binds
+        BORNSQL_RETURN_IF_ERROR(CheckBinds(*p, in_schema));
       }
       for (const auto& [expr, desc] : call->window_order_by) {
-        BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*expr, in_schema));
-        (void)b;  // validation only; lowering re-binds
+        BORNSQL_RETURN_IF_ERROR(CheckBinds(*expr, in_schema));
       }
       plan::WindowItem item;
       item.output_name = StrFormat("#w%zu", i);
@@ -909,12 +978,11 @@ Result<LogicalPtr> LogicalBuilder::BuildCore(
   }
 
   // ---- projection (with hidden ORDER BY columns where needed) ----
-  const Schema in_schema = input->schema;
+  const Schema& in_schema = input->schema;
   std::vector<plan::ProjectItem> proj_items;
   Schema out_schema;
   for (ExpandedItem& item : items) {
-    BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*item.expr, in_schema));
-    (void)b;  // validation only; lowering re-binds
+    BORNSQL_RETURN_IF_ERROR(CheckBinds(*item.expr, in_schema));
     plan::ProjectItem pi;
     pi.expr = std::move(item.expr);
     proj_items.push_back(std::move(pi));
@@ -938,12 +1006,11 @@ Result<LogicalPtr> LogicalBuilder::BuildCore(
                       static_cast<long long>(ordinal)));
       }
       key.ordinal = static_cast<size_t>(ordinal - 1);
-    } else if (auto bound = BindExpr(oe, out_schema); bound.ok()) {
+    } else if (BindsTo(oe, out_schema)) {
       key.expr = sql::CloneExpr(oe);
     } else {
       // Hidden column over the pre-projection schema.
-      BORNSQL_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(oe, in_schema));
-      (void)b;  // validation only; lowering re-binds
+      BORNSQL_RETURN_IF_ERROR(CheckBinds(oe, in_schema));
       if (core.distinct) {
         return Status::BindError(
             "for SELECT DISTINCT, ORDER BY expressions must appear in the "

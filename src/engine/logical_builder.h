@@ -13,16 +13,15 @@
 // runs here, but it is still gated and counted as the rule
 // "derived_table_pullup".
 //
-// Expressions are validated eagerly at exactly the points the monolith
-// bound them, so user-facing BindError messages (and their order) are
-// unchanged; the bindings themselves are discarded and lowering re-binds.
+// Expressions are validated eagerly (CheckBinds) at exactly the points the
+// monolith bound them, so user-facing BindError messages (and their order)
+// are unchanged; no bound tree is built here, lowering binds.
 #ifndef BORNSQL_ENGINE_LOGICAL_BUILDER_H_
 #define BORNSQL_ENGINE_LOGICAL_BUILDER_H_
 
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -69,8 +68,8 @@ class LogicalBuilder {
   Status FoldSubqueries(sql::Expr* expr);
 
  private:
-  using CteScope =
-      std::unordered_map<std::string, std::shared_ptr<plan::CteBinding>>;
+  // One WITH list's bindings, in declaration order.
+  using CteScope = std::vector<std::shared_ptr<plan::CteBinding>>;
 
   Result<plan::LogicalPtr> BuildStmt(const sql::SelectStmt& stmt);
   Result<plan::LogicalPtr> BuildCore(const sql::SelectCore& core,

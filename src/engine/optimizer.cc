@@ -464,9 +464,9 @@ size_t ReorderFilters(LogicalPtr* slot) {
 
 bool AddRefs(const sql::Expr& e, const Schema& s, std::vector<bool>* req) {
   if (e.kind == sql::ExprKind::kColumnRef) {
-    Result<size_t> idx = s.Resolve(e.qualifier, e.column);
-    if (!idx.ok()) return false;
-    (*req)[*idx] = true;
+    const size_t idx = s.Find(e.qualifier, e.column);
+    if (idx >= Schema::kAmbiguous) return false;
+    (*req)[idx] = true;
     return true;
   }
   bool ok = true;

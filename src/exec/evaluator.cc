@@ -42,6 +42,19 @@ constexpr FuncSpec kFuncs[] = {
     {"instr", ScalarFunc::kInstr, 2, 2},
 };
 
+// The kFuncs entry named `name` (case-insensitive), or null.
+const FuncSpec* FindFuncSpec(std::string_view name) {
+  for (const FuncSpec& spec : kFuncs) {
+    if (EqualsIgnoreCase(spec.name, name)) return &spec;
+  }
+  return nullptr;
+}
+
+bool ArityFits(const FuncSpec& spec, size_t arity) {
+  return arity >= static_cast<size_t>(spec.min_arity) &&
+         (spec.max_arity < 0 || arity <= static_cast<size_t>(spec.max_arity));
+}
+
 Status TypeError(const char* op, const Value& v) {
   return Status::ExecutionError(StrFormat(
       "cannot apply %s to %s value '%s'", op, ValueTypeName(v.type()),
@@ -391,16 +404,20 @@ Value Or3(const Value& a, const Value& b) {
 }  // namespace
 
 Result<ScalarFunc> LookupScalarFunc(const std::string& name, size_t arity) {
-  for (const FuncSpec& spec : kFuncs) {
-    if (!EqualsIgnoreCase(spec.name, name)) continue;
-    if (arity < static_cast<size_t>(spec.min_arity) ||
-        (spec.max_arity >= 0 && arity > static_cast<size_t>(spec.max_arity))) {
-      return Status::BindError(StrFormat("function %s() called with %zu args",
-                                         spec.name, arity));
-    }
-    return spec.func;
+  const FuncSpec* spec = FindFuncSpec(name);
+  if (spec == nullptr) {
+    return Status::NotFound("no scalar function named '" + name + "'");
   }
-  return Status::NotFound("no scalar function named '" + name + "'");
+  if (!ArityFits(*spec, arity)) {
+    return Status::BindError(StrFormat("function %s() called with %zu args",
+                                       spec->name, arity));
+  }
+  return spec->func;
+}
+
+bool IsScalarCall(std::string_view name, size_t arity) {
+  const FuncSpec* spec = FindFuncSpec(name);
+  return spec != nullptr && ArityFits(*spec, arity);
 }
 
 BoundExprPtr BoundLiteral(Value v) {

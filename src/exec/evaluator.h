@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -74,6 +75,9 @@ enum class ScalarFunc {
 // Maps a function name (case-insensitive) to its ScalarFunc, with arity
 // validation. NotFound if the name is not a scalar function.
 Result<ScalarFunc> LookupScalarFunc(const std::string& name, size_t arity);
+
+// True if LookupScalarFunc(name, arity) succeeds; allocates nothing.
+bool IsScalarCall(std::string_view name, size_t arity);
 
 // Re-using the parser's operator enums keeps binding a 1:1 lowering.
 enum class BoundUnaryOp { kNegate, kNot, kPlus };

@@ -247,7 +247,8 @@ Status Operator::FlushMemory() {
   // the pending bytes must not survive into a later release.
   mem_pending_ = 0;
   if (pending == 0 || mem_ == nullptr) return Status::OK();
-  BORNSQL_RETURN_IF_ERROR(mem_->TryReserve(pending, DebugString()));
+  BORNSQL_RETURN_IF_ERROR(
+      mem_->TryReserveWith(pending, [this] { return DebugString(); }));
   mem_reserved_ += pending;
   return Status::OK();
 }

@@ -98,7 +98,11 @@ void MemoryTracker::ResetPeak() {
 }
 
 Status MemoryTracker::TryReserve(uint64_t bytes, std::string_view context) {
-  if (bytes == 0) return Status::OK();
+  return TryReserveWith(bytes, [context] { return context; });
+}
+
+const MemoryTracker* MemoryTracker::Charge(uint64_t bytes) {
+  if (bytes == 0) return nullptr;
   for (MemoryTracker* node = this; node != nullptr; node = node->parent_) {
     if (!node->AddLocal(bytes, /*checked=*/true)) {
       // Unwind the levels already charged so no partial accounting
@@ -106,17 +110,20 @@ Status MemoryTracker::TryReserve(uint64_t bytes, std::string_view context) {
       for (MemoryTracker* undo = this; undo != node; undo = undo->parent_) {
         undo->SubLocal(bytes);
       }
-      return Status::ResourceExhausted(StrFormat(
-          "memory limit exceeded reserving %llu bytes in %.*s: %s tracker "
-          "'%s' at %llu of %llu byte limit",
-          static_cast<unsigned long long>(bytes),
-          static_cast<int>(context.size()), context.data(),
-          node->level_.c_str(), node->label_.c_str(),
-          static_cast<unsigned long long>(node->current()),
-          static_cast<unsigned long long>(node->limit())));
+      return node;
     }
   }
-  return Status::OK();
+  return nullptr;
+}
+
+Status MemoryTracker::Denial(uint64_t bytes, std::string_view context) const {
+  return Status::ResourceExhausted(StrFormat(
+      "memory limit exceeded reserving %llu bytes in %.*s: %s tracker "
+      "'%s' at %llu of %llu byte limit",
+      static_cast<unsigned long long>(bytes),
+      static_cast<int>(context.size()), context.data(), level_.c_str(),
+      label_.c_str(), static_cast<unsigned long long>(current()),
+      static_cast<unsigned long long>(limit())));
 }
 
 void MemoryTracker::Reserve(uint64_t bytes) {

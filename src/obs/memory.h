@@ -61,6 +61,15 @@ class MemoryTracker {
   // (the operator that tripped) plus the offended tracker and its limit.
   Status TryReserve(uint64_t bytes, std::string_view context);
 
+  // TryReserve that renders the context (`context()`, convertible to a
+  // string_view) only on denial, for callers whose context is costly to
+  // build, such as an operator's DebugString.
+  template <typename ContextFn>
+  Status TryReserveWith(uint64_t bytes, ContextFn&& context) {
+    const MemoryTracker* denied = Charge(bytes);
+    return denied == nullptr ? Status::OK() : denied->Denial(bytes, context());
+  }
+
   // Unchecked charge (storage buffers, cache entries): accounting must
   // stay accurate even when a limit is exceeded by non-query allocations.
   void Reserve(uint64_t bytes);
@@ -102,6 +111,12 @@ class MemoryTracker {
   // Charges this node only; returns false (leaving the node unchanged)
   // when a limit would be exceeded. `checked` false skips the limit.
   bool AddLocal(uint64_t bytes, bool checked);
+  // Charges `bytes` up the chain, enforcing each limit. Null on success;
+  // on denial, the tracker that denied (already counted), with the partial
+  // charge unwound.
+  const MemoryTracker* Charge(uint64_t bytes);
+  // The ResourceExhausted status for a denial by this tracker.
+  Status Denial(uint64_t bytes, std::string_view context) const;
   void SubLocal(uint64_t bytes);
   // Compare-exchange max: publishes `candidate` as the peak unless a
   // concurrent reservation already recorded a higher one.

@@ -20,26 +20,36 @@ uint64_t TraceRecorder::RelativeNs(uint64_t steady_ns) const {
 void TraceRecorder::Record(StatementTrace trace) {
   MutexLock lock(&mu_);
   trace.id = next_id_++;
-  if (ring_.size() >= capacity_) {
-    const size_t excess = ring_.size() - capacity_ + 1;
-    ring_.erase(ring_.begin(),
-                ring_.begin() + static_cast<ptrdiff_t>(excess));
+  if (ring_.size() < capacity_) {
+    ring_.push_back(std::move(trace));
+    return;
   }
-  ring_.push_back(std::move(trace));
+  ring_[head_] = std::move(trace);
+  head_ = (head_ + 1) % capacity_;
 }
 
 std::vector<StatementTrace> TraceRecorder::Snapshot() const {
   MutexLock lock(&mu_);
-  return ring_;
+  std::vector<StatementTrace> out;
+  out.reserve(ring_.size());
+  const auto head = ring_.begin() + static_cast<ptrdiff_t>(head_);
+  out.insert(out.end(), head, ring_.end());
+  out.insert(out.end(), ring_.begin(), head);
+  return out;
 }
 
 void TraceRecorder::Clear() {
   MutexLock lock(&mu_);
   ring_.clear();
+  head_ = 0;
 }
 
 void TraceRecorder::set_capacity(size_t capacity) {
   MutexLock lock(&mu_);
+  // Back to chronological order, then keep the newest `capacity`.
+  std::rotate(ring_.begin(), ring_.begin() + static_cast<ptrdiff_t>(head_),
+              ring_.end());
+  head_ = 0;
   capacity_ = std::max<size_t>(capacity, 1);
   if (ring_.size() > capacity_) {
     ring_.erase(ring_.begin(),

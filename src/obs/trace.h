@@ -74,8 +74,11 @@ class TraceRecorder {
  private:
   mutable TrackedMutex mu_{"trace.recorder", lock_rank::kTrace};
   const uint64_t epoch_ns_;  // set once at construction, read lock-free
-  // chronological; bounded by capacity_
+  // Fixed ring: grows to capacity_, then each Record overwrites the oldest
+  // slot, ring_[head_]. Until it is full, head_ stays 0 and ring_ is
+  // chronological.
   std::vector<StatementTrace> ring_ BORN_GUARDED_BY(mu_);
+  size_t head_ BORN_GUARDED_BY(mu_) = 0;
   size_t capacity_ BORN_GUARDED_BY(mu_);
   uint64_t next_id_ BORN_GUARDED_BY(mu_) = 1;
 };

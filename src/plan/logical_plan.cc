@@ -270,8 +270,9 @@ void RecomputeSchemas(LogicalNode* node) {
       for (size_t i = 0; i < node->group_exprs.size(); ++i) {
         const sql::Expr& g = *node->group_exprs[i];
         if (g.kind == sql::ExprKind::kColumnRef) {
-          if (auto idx = in.Resolve(g.qualifier, g.column); idx.ok()) {
-            out.Add(in.column(*idx));
+          if (const size_t idx = in.Find(g.qualifier, g.column);
+              idx < Schema::kAmbiguous) {
+            out.Add(in.column(idx));
             continue;
           }
         }

@@ -996,6 +996,10 @@ Result<Statement> ParseStatementTokens(std::vector<Token> tokens) {
 
 Result<std::vector<Statement>> ParseScript(std::string_view sql) {
   BORNSQL_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
+  return ParseScriptTokens(std::move(tokens));
+}
+
+Result<std::vector<Statement>> ParseScriptTokens(std::vector<Token> tokens) {
   Parser p(std::move(tokens));
   return p.Script();
 }

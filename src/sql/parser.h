@@ -23,6 +23,9 @@ Result<Statement> ParseStatementTokens(std::vector<Token> tokens);
 // Parses a ';'-separated script.
 Result<std::vector<Statement>> ParseScript(std::string_view sql);
 
+// Same, from an already-lexed token stream (must end with a kEof token).
+Result<std::vector<Statement>> ParseScriptTokens(std::vector<Token> tokens);
+
 // Parses just an expression (used by tests).
 Result<ExprPtr> ParseExpression(std::string_view sql);
 

@@ -4,6 +4,7 @@
 #define BORNSQL_TYPES_SCHEMA_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -31,15 +32,20 @@ class Schema {
 
   void Add(Column c) { columns_.push_back(std::move(c)); }
 
-  // Resolves `name` (optionally qualified). Returns the column index, or:
-  //  - NotFound if no column matches,
-  //  - BindError if the reference is ambiguous.
-  // Matching is case-insensitive on both qualifier and name.
+  static constexpr size_t kNpos = static_cast<size_t>(-1);
+  static constexpr size_t kAmbiguous = kNpos - 1;
+
+  // Index of the one column `name` (optionally qualified) refers to, kNpos
+  // if no column matches, kAmbiguous if several do. Matching is
+  // case-insensitive on both qualifier and name. Allocates nothing.
+  size_t Find(std::string_view qualifier, std::string_view name) const;
+
+  // Find with errors: NotFound if no column matches, BindError if the
+  // reference is ambiguous.
   Result<size_t> Resolve(const std::string& qualifier,
                          const std::string& name) const;
 
   // Index of the first column with this (unqualified) name, or npos.
-  static constexpr size_t kNpos = static_cast<size_t>(-1);
   size_t FindUnqualified(const std::string& name) const;
 
   // Returns a copy with every column's qualifier replaced by `alias`.

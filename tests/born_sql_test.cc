@@ -12,6 +12,29 @@
 #include "common/strings.h"
 #include "tests/test_util.h"
 
+namespace bornsql::engine {
+
+// Names each AllConfigs instance by its settings. Without it gtest prints
+// the raw bytes of EngineConfig, padding included, so the discovered test
+// names changed from one build to the next.
+static void PrintTo(const EngineConfig& config, std::ostream* os) {
+  switch (config.join_strategy) {
+    case JoinStrategy::kHash:
+      *os << "hash";
+      break;
+    case JoinStrategy::kSortMerge:
+      *os << "sortmerge";
+      break;
+    case JoinStrategy::kNestedLoop:
+      *os << "nestedloop";
+      break;
+  }
+  *os << (config.materialize_ctes ? "_materialized" : "_inlined")
+      << (config.use_index_joins ? "_indexjoins" : "");
+}
+
+}  // namespace bornsql::engine
+
 namespace bornsql::born {
 namespace {
 

@@ -108,5 +108,50 @@ TEST(LexerTest, OffsetsTrackSource) {
   EXPECT_EQ(tokens[1].offset, 3u);
 }
 
+TEST(LexerTest, MixedCaseKeywordsLexToCanonicalText) {
+  auto tokens = MustLex("sElEcT Distinct partition TEMPORARY analyze oN");
+  const char* expected[] = {"SELECT",    "DISTINCT", "PARTITION",
+                            "TEMPORARY", "ANALYZE",  "ON"};
+  ASSERT_EQ(tokens.size(), 7u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(tokens[i].type, TokenType::kKeyword) << i;
+    EXPECT_EQ(tokens[i].text, expected[i]) << i;
+  }
+  for (const char* word : expected) EXPECT_TRUE(IsKeyword(word)) << word;
+}
+
+TEST(LexerTest, KeywordLookalikesStayIdentifiers) {
+  // Keyword prefixes and extensions, words with '_' or digits, words longer
+  // than any keyword, and a quoted keyword all keep their spelling.
+  auto tokens = MustLex(
+      "selected order_id indexes PARTITIONS \"select\" as1 _on temporarys");
+  const char* expected[] = {"selected", "order_id", "indexes", "PARTITIONS",
+                            "select",   "as1",      "_on",     "temporarys"};
+  ASSERT_EQ(tokens.size(), 9u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(tokens[i].type, TokenType::kIdentifier) << i;
+    EXPECT_EQ(tokens[i].text, expected[i]) << i;
+  }
+  for (const char* word : {"", "S", "selected", "sel ect", "s\xc3\xa9lect"}) {
+    EXPECT_FALSE(IsKeyword(word)) << word;
+  }
+}
+
+TEST(LexerTest, LineAndColumnTrackSource) {
+  auto tokens = MustLex("SELECT a,\n  'x''y' -- note\n\tFROM t /* c\n */ 12");
+  struct Where {
+    size_t line, column;
+  };
+  const Where expected[] = {{1, 1}, {1, 8}, {1, 9}, {2, 3},
+                            {3, 2}, {3, 7}, {4, 5}, {4, 7}};
+  ASSERT_EQ(tokens.size(), 8u);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    EXPECT_EQ(tokens[i].line, expected[i].line) << i;
+    EXPECT_EQ(tokens[i].column, expected[i].column) << i;
+  }
+  EXPECT_EQ(tokens[3].text, "x'y");
+  EXPECT_EQ(tokens[6].int_value, 12);
+}
+
 }  // namespace
 }  // namespace bornsql::sql

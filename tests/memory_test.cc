@@ -89,6 +89,26 @@ TEST(MemoryTrackerTest, TryReserveDenialUnwindsAndCounts) {
   EXPECT_EQ(root.current(), 0u);
 }
 
+TEST(MemoryTrackerTest, LazyContextIsBuiltOnlyOnDenial) {
+  obs::MemoryTracker query("query", "query", nullptr);
+  query.set_limit(100);
+  int built = 0;
+  auto context = [&built] {
+    ++built;
+    return std::string("Sort(1 keys)");
+  };
+  BORNSQL_ASSERT_OK(query.TryReserveWith(60, context));
+  EXPECT_EQ(built, 0);
+  Status denied = query.TryReserveWith(50, context);
+  EXPECT_EQ(built, 1);
+  // Byte-identical to the eager form's message.
+  Status eager = query.TryReserve(50, "Sort(1 keys)");
+  ASSERT_FALSE(denied.ok());
+  EXPECT_EQ(denied.ToString(), eager.ToString());
+  EXPECT_EQ(query.current(), 60u);
+  query.Release(60);
+}
+
 TEST(MemoryTrackerTest, ReleaseSaturatesAtZero) {
   obs::MemoryTracker root("root", "test", nullptr);
   root.Reserve(10);

@@ -431,6 +431,59 @@ TEST(MetricsRegistryTest, ConcurrentHammer) {
 }
 
 
+std::vector<uint64_t> TraceIds(const obs::TraceRecorder& recorder) {
+  std::vector<uint64_t> ids;
+  for (const obs::StatementTrace& t : recorder.Snapshot()) ids.push_back(t.id);
+  return ids;
+}
+
+void RecordTraces(obs::TraceRecorder* recorder, int count) {
+  for (int i = 0; i < count; ++i) recorder->Record(obs::StatementTrace{});
+}
+
+TEST(TraceRecorderTest, RingEvictsOldestFirst) {
+  obs::TraceRecorder recorder(/*capacity=*/3);
+  RecordTraces(&recorder, 2);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{1, 2}));
+  // Wrap the ring more than once: the snapshot stays oldest-to-newest.
+  RecordTraces(&recorder, 6);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{6, 7, 8}));
+  RecordTraces(&recorder, 1);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{7, 8, 9}));
+  EXPECT_EQ(recorder.size(), 3u);
+  recorder.Clear();
+  EXPECT_TRUE(TraceIds(recorder).empty());
+  RecordTraces(&recorder, 4);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{11, 12, 13}));
+}
+
+TEST(TraceRecorderTest, CapacityChangesKeepNewestInOrder) {
+  obs::TraceRecorder recorder(/*capacity=*/4);
+  RecordTraces(&recorder, 6);  // ring wrapped: holds 3..6
+  recorder.set_capacity(2);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{5, 6}));
+  RecordTraces(&recorder, 1);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{6, 7}));
+
+  // Growing keeps everything and fills up before evicting again.
+  recorder.set_capacity(4);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{6, 7}));
+  RecordTraces(&recorder, 2);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{6, 7, 8, 9}));
+  RecordTraces(&recorder, 1);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{7, 8, 9, 10}));
+
+  // Growing a wrapped ring, then shrinking to one.
+  recorder.set_capacity(5);
+  RecordTraces(&recorder, 2);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{8, 9, 10, 11, 12}));
+  recorder.set_capacity(0);  // clamps to 1
+  EXPECT_EQ(recorder.capacity(), 1u);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{12}));
+  RecordTraces(&recorder, 1);
+  EXPECT_EQ(TraceIds(recorder), (std::vector<uint64_t>{13}));
+}
+
 TEST(TraceRecorderTest, ConcurrentHammer) {
   // Several threads recording, snapshotting, clearing and resizing one
   // recorder; exercised under TSan by ci.sh leg 3. Counts are checked

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sql/lexer.h"
+
 namespace bornsql::sql {
 namespace {
 
@@ -251,6 +253,16 @@ TEST(ParserTest, ScriptSplitsOnSemicolons) {
   auto r = ParseScript("SELECT 1; SELECT 2;; SELECT 3");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 3u);
+}
+
+TEST(ParserTest, ScriptParsesFromLexedTokens) {
+  auto tokens = Lex("CREATE TABLE t (a INTEGER); DROP TABLE t;");
+  ASSERT_TRUE(tokens.ok());
+  auto r = ParseScriptTokens(std::move(tokens).value());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), 2u);
+  EXPECT_EQ((*r)[0].kind, StatementKind::kCreateTable);
+  EXPECT_EQ((*r)[1].kind, StatementKind::kDropTable);
 }
 
 TEST(ParserTest, TrailingGarbageFails) {

@@ -17,6 +17,9 @@
 #       cache, hit rate > 0 and cached results equal to uncached; the same
 #       run exports Prometheus text which a format checker validates
 #       (family presence, monotone cumulative buckets, no duplicates)
+#   1g  benchmark self-tests: lifebench/ built on its own into
+#       build-lifebench/ (run.py keeps .bench_build/ for measured runs),
+#       then its gtests (lifebench_test) and compare.py's unit tests
 #   2   Debug + ASan/UBSan build + full test suite + fuzz smoke
 #   3   Debug + TSan build, concurrency hammer tests (registry/trace/stats
 #       sinks + the multi-session serving hammer)
@@ -185,6 +188,16 @@ for fam in required:
 print(f"prometheus ok: {len(types)} families, "
       f"{sum(len(v) for v in samples.values())} samples")
 EOF
+
+  echo "=== leg 1g: benchmark self-tests ==="
+  # The lifecycle benchmark's own tests: workload bookkeeping, metric
+  # records and the verdict rule. Built in a directory of its own so a CI
+  # run never reuses or disturbs the measured build in .bench_build/.
+  cmake -B build-lifebench -S lifebench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build build-lifebench -j "$(nproc)" --target lifebench_test
+  ctest --test-dir build-lifebench --output-on-failure
+  PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s lifebench \
+    -p 'test_*.py'
 
   echo "=== leg 2: Debug + ASan/UBSan ==="
   # halt_on_error so ctest actually fails on a UBSan report.
