@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -180,21 +179,24 @@ bool CachedMatchesUncached(size_t docs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bornsql::bench::Args args = bornsql::bench::ParseArgs(argc, argv);
-  std::vector<int> thread_counts = {1, 2, 4};
+  std::string threads_flag = "1,2,4";
   std::string json_path = "BENCH_serving.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      thread_counts.clear();
-      for (const std::string& part : bornsql::Split(argv[i] + 10, ',')) {
-        const int n = std::atoi(part.c_str());
-        if (n > 0) thread_counts.push_back(n);
-      }
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
+  const std::vector<bornsql::bench::ExtraFlag> extra = {
+      {"--threads=", "comma-separated session counts (default 1,2,4)",
+       &threads_flag},
+      {"--json=", "report path (default BENCH_serving.json)", &json_path}};
+  bornsql::bench::Args args = bornsql::bench::ParseArgs(argc, argv, extra);
+  std::vector<int> thread_counts;
+  for (const std::string& part : bornsql::Split(threads_flag, ',')) {
+    const int n = std::atoi(part.c_str());
+    if (n <= 0 || std::to_string(n) != part) {
+      bornsql::bench::UsageError(argv[0],
+                                 "bad value for --threads: '" + threads_flag +
+                                     "' (expected positive integers)",
+                                 extra);
     }
+    thread_counts.push_back(n);
   }
-  if (thread_counts.empty()) thread_counts = {1, 2, 4};
 
   const size_t docs = Scaled(400, args.scale);
   const size_t ops_per_thread = Scaled(250, args.scale);

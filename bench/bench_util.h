@@ -32,18 +32,85 @@ struct Args {
   std::string metrics_prom;
 };
 
-inline Args ParseArgs(int argc, char** argv) {
+// A bench-specific `--name=value` flag, parsed alongside the shared ones:
+// ParseArgs stores the text after '=' in *value and lists `help` in the
+// usage message.
+struct ExtraFlag {
+  const char* name;  // including the trailing '=', e.g. "--threads="
+  const char* help;
+  std::string* value;
+};
+
+inline void PrintUsage(std::FILE* out, const char* prog,
+                       const std::vector<ExtraFlag>& extra) {
+  std::fprintf(out,
+               "usage: %s [flags]\n"
+               "  --scale=<x>            multiply every default dataset size "
+               "(> 0, default 1.0)\n"
+               "  --obs-json=<path>      write the per-operator breakdown "
+               "JSON\n"
+               "  --trace-json=<path>    write a Chrome trace_event JSON of "
+               "the statements\n"
+               "  --metrics-prom=<path>  write the metrics registry as "
+               "Prometheus text\n",
+               prog);
+  for (const ExtraFlag& flag : extra) {
+    const std::string spelled = std::string(flag.name) + "<...>";
+    std::fprintf(out, "  %-22s %s\n", spelled.c_str(), flag.help);
+  }
+  std::fprintf(out, "  --help                 print this message and exit\n");
+}
+
+// Prints `message` and the usage to stderr, then exits 2.
+[[noreturn]] inline void UsageError(const char* prog,
+                                    const std::string& message,
+                                    const std::vector<ExtraFlag>& extra) {
+  std::fprintf(stderr, "%s: %s\n", prog, message.c_str());
+  PrintUsage(stderr, prog, extra);
+  std::exit(2);
+}
+
+// Parses the shared bench flags plus `extra`. Strict: an unknown flag or a
+// --scale that is not a positive number prints usage and exits 2; --help
+// prints usage and exits 0 without running anything.
+inline Args ParseArgs(int argc, char** argv,
+                      const std::vector<ExtraFlag>& extra = {}) {
+  const char* prog = argc > 0 ? argv[0] : "bench";
   Args args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-      args.scale = std::atof(argv[i] + 8);
-      if (args.scale <= 0) args.scale = 1.0;
-    } else if (std::strncmp(argv[i], "--obs-json=", 11) == 0) {
-      args.obs_json = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--trace-json=", 13) == 0) {
-      args.trace_json = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--metrics-prom=", 15) == 0) {
-      args.metrics_prom = argv[i] + 15;
+    const std::string arg = argv[i];
+    const auto value_of = [&](const char* name) -> const char* {
+      const size_t n = std::strlen(name);
+      return arg.compare(0, n, name) == 0 ? argv[i] + n : nullptr;
+    };
+    if (arg == "--help" || arg == "-h") {
+      PrintUsage(stdout, prog, extra);
+      std::exit(0);
+    }
+    if (const char* v = value_of("--scale=")) {
+      char* end = nullptr;
+      args.scale = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(args.scale) ||
+          args.scale <= 0) {
+        UsageError(prog, "bad value for --scale: '" + std::string(v) +
+                             "' (expected a number > 0)", extra);
+      }
+    } else if (const char* v = value_of("--obs-json=")) {
+      args.obs_json = v;
+    } else if (const char* v = value_of("--trace-json=")) {
+      args.trace_json = v;
+    } else if (const char* v = value_of("--metrics-prom=")) {
+      args.metrics_prom = v;
+    } else {
+      bool matched = false;
+      for (const ExtraFlag& flag : extra) {
+        if (const char* v = value_of(flag.name)) {
+          *flag.value = v;
+          matched = true;
+          break;
+        }
+      }
+      if (!matched) UsageError(prog, "unknown flag '" + arg + "'", extra);
     }
   }
   return args;

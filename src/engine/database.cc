@@ -69,9 +69,22 @@ obs::OperatorStats DmlStats(size_t rows_affected, double elapsed_seconds) {
   return stats;
 }
 
+// Names of the synthetic plan nodes EXPLAIN and EXPLAIN ANALYZE put over
+// DML and DDL statements.
 std::string InsertNodeName(const sql::InsertStmt& stmt) {
   return StrFormat("Insert(%s%s)", stmt.table.c_str(),
                    stmt.on_conflict != nullptr ? ", on conflict" : "");
+}
+
+std::string ValuesNodeName(const sql::InsertStmt& stmt) {
+  return StrFormat("Values(%zu rows)", stmt.values.size());
+}
+
+std::string CreateTableNodeName(const sql::CreateTableStmt& stmt) {
+  return stmt.as_select != nullptr
+             ? StrFormat("CreateTableAs(%s)", stmt.table.c_str())
+             : StrFormat("CreateTable(%s, %zu columns)", stmt.table.c_str(),
+                         stmt.columns.size());
 }
 
 // Appends one trace span per instrumented operator, using the lifetime
@@ -135,7 +148,7 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
   BORNSQL_ASSIGN_OR_RETURN(sql::Statement stmt,
                            sql::ParseStatementTokens(std::move(tokens)));
   AddPhaseSpan(&ctx, "parse", parse_start);
-  return ExecuteTracked(stmt, &ctx);
+  return ExecuteTracked(&stmt, nullptr, &ctx);
 }
 
 Status Database::ExecuteScript(std::string_view sql) {
@@ -151,17 +164,10 @@ Status Database::ExecuteScript(std::string_view sql) {
     ctx.key = i < keys.size() && keys.size() == stmts.size()
                   ? keys[i]
                   : FallbackStatementKey(stmts[i]);
-    auto result = ExecuteTracked(stmts[i], &ctx);
+    auto result = ExecuteTracked(&stmts[i], nullptr, &ctx);
     if (!result.ok()) return result.status();
   }
   return Status::OK();
-}
-
-Result<QueryResult> Database::ExecuteStatement(const sql::Statement& stmt) {
-  StatementContext ctx;
-  BeginStatement(&ctx);
-  ctx.key = FallbackStatementKey(stmt);
-  return ExecuteTracked(stmt, &ctx);
 }
 
 Result<QueryResult> Database::ExecuteParsed(const sql::Statement& stmt,
@@ -169,7 +175,7 @@ Result<QueryResult> Database::ExecuteParsed(const sql::Statement& stmt,
   StatementContext ctx;
   BeginStatement(&ctx);
   ctx.key = std::move(key);
-  return ExecuteTracked(stmt, &ctx);
+  return ExecuteTracked(&stmt, nullptr, &ctx);
 }
 
 Result<plan::LogicalPlan> Database::BuildOptimizedPlan(
@@ -187,99 +193,8 @@ Result<QueryResult> Database::ExecuteCachedPlan(
   StatementContext ctx;
   BeginStatement(&ctx);
   ctx.key = std::move(key);
-  WallTimer timer;
-
-  obs::StatementTrace* saved_trace = active_trace_;
-  active_trace_ = ctx.tracing ? &ctx.trace : nullptr;
-  Result<QueryResult> result = RunCachedSelect(cached, args, &ctx);
-  active_trace_ = saved_trace;
-
-  const double elapsed_seconds = timer.ElapsedSeconds();
-  metrics_->IncrementCounter(obs::kQueriesExecuted);
-  if (!result.ok()) metrics_->IncrementCounter(obs::kQueriesFailed);
-  metrics_->RecordLatency(obs::kStatementLatencyUs, elapsed_seconds);
-  const uint64_t rows = result.ok() ? result->rows.size() : 0;
-  if (stmt_stats_->Record(ctx.key, elapsed_seconds * 1e3, rows,
-                          !result.ok())) {
-    metrics_->IncrementCounter(obs::kStatementStatsEvictions);
-  }
-
-  if (ctx.tracing) {
-    ctx.trace.statement = ctx.key;
-    ctx.trace.dur_ns = trace_.NowNs() - ctx.trace.start_ns;
-    ctx.trace.rows = rows;
-    ctx.trace.error = !result.ok();
-    trace_.Record(std::move(ctx.trace));
-  }
-  return result;
-}
-
-Result<QueryResult> Database::RunCachedSelect(const plan::LogicalPlan& cached,
-                                              const std::vector<Value>& args,
-                                              StatementContext* ctx) {
-  const uint64_t subst_start = ctx->tracing ? trace_.NowNs() : 0;
-  // Declared before the operator tree so operators release their memory
-  // reservations before the tracker dies.
-  obs::MemoryTracker query_mem("query", "query", mem_parent_);
-  if (query_mem_limit_ > 0) query_mem.set_limit(query_mem_limit_);
-  plan::LogicalPlan plan = plan::ClonePlanDeep(cached);
-  BORNSQL_RETURN_IF_ERROR(SubstituteParamsInPlan(&plan, args));
-  AddPhaseSpan(ctx, "substitute", subst_start);
-
-  const uint64_t lower_start = ctx->tracing ? trace_.NowNs() : 0;
-  Planner planner = MakePlanner();
-  BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr op, planner.LowerLogical(plan));
-  if (config_.verify_plans) {
-    BORNSQL_RETURN_IF_ERROR(lint::VerifyPlanStatus(*op));
-  }
-  AddPhaseSpan(ctx, "lower", lower_start);
-
-  op->SetMemoryTracker(&query_mem);
-  op->SetVectorSize(config_.vector_size);
-  // Declared after the plan: destruction order is irrelevant (operators
-  // never call the verifier from their destructors) and the verifier's
-  // hooks only run between here and the end of the drain.
-  lint::ChunkVerifier chunk_verifier;
-  const bool verify_chunks = config_.verify_chunks;
-  if (verify_chunks) op->SetExecVerifier(&chunk_verifier);
-  const bool instrument = config_.collect_exec_stats;
-  if (instrument) op->EnableStats(true);
-  const uint64_t exec_start = ctx->tracing ? trace_.NowNs() : 0;
-  Result<exec::MaterializedResult> drained = exec::Drain(*op);
-  AddPhaseSpan(ctx, "execute", exec_start);
-  if (verify_chunks) {
-    // Accumulated on failure too: a violation is precisely when the
-    // counters matter.
-    chunk_verifier_totals_.Add(chunk_verifier.stats());
-    ++chunk_verified_queries_;
-  }
-  if (drained.ok()) {
-    // The materialized result buffer is query memory too: charging it
-    // gives streaming point lookups a truthful nonzero peak and puts the
-    // rows a statement returns under the same limits as its
-    // intermediate state. Released by query_mem's destructor.
-    uint64_t result_bytes = 0;
-    for (const Row& row : drained->rows) {
-      result_bytes += obs::ApproxRowBytes(row);
-    }
-    Status charged = query_mem.TryReserve(result_bytes, "result buffer");
-    if (!charged.ok()) drained = std::move(charged);
-  }
-  last_query_peak_bytes_ = query_mem.peak();
-  if (!drained.ok()) return drained.status();
-  exec::MaterializedResult result = std::move(*drained);
-  if (instrument) {
-    std::unordered_set<const exec::Operator*> seen;
-    AccumulatePlanMetrics(metrics_, *op, &seen);
-    if (ctx->tracing) {
-      std::unordered_set<const exec::Operator*> span_seen;
-      AppendOperatorSpans(trace_, *op, &ctx->trace, &span_seen);
-    }
-  }
-  QueryResult out;
-  out.column_names = result.schema.ColumnNames();
-  out.rows = std::move(result.rows);
-  return out;
+  const SelectSource hit(cached, args);
+  return ExecuteTracked(nullptr, &hit, &ctx);
 }
 
 Result<ProfiledQuery> Database::ExecuteProfiled(std::string_view sql) {
@@ -299,35 +214,38 @@ Result<ProfiledQuery> Database::ExecuteProfiled(std::string_view sql) {
   }
   ProfiledQuery out;
   ctx.profile_plan = &out.plan;
-  BORNSQL_ASSIGN_OR_RETURN(out.result, ExecuteTracked(stmt, &ctx));
+  BORNSQL_ASSIGN_OR_RETURN(out.result, ExecuteTracked(&stmt, nullptr, &ctx));
   return out;
 }
 
-Result<QueryResult> Database::ExecuteTracked(const sql::Statement& stmt,
+Result<QueryResult> Database::ExecuteTracked(const sql::Statement* stmt,
+                                             const SelectSource* hit,
                                              StatementContext* ctx) {
   WallTimer timer;
   // While the slow-query log is armed, eligible statements run instrumented
   // (the auto_explain.log_analyze approach) so a logged entry carries its
   // stats-annotated plan. EXPLAIN and SET never profile.
-  const bool slow_armed = slow_query_ms_ >= 0 &&
-                          stmt.kind != sql::StatementKind::kExplain &&
-                          stmt.kind != sql::StatementKind::kSet;
+  const bool slow_armed =
+      slow_query_ms_ >= 0 &&
+      (stmt == nullptr || (stmt->kind != sql::StatementKind::kExplain &&
+                           stmt->kind != sql::StatementKind::kSet));
   const bool want_profile = ctx->profile_plan != nullptr || slow_armed;
 
-  obs::StatementTrace* saved_trace = active_trace_;
-  active_trace_ = ctx->tracing ? &ctx->trace : nullptr;
+  StatementContext* saved_stmt = active_stmt_;
+  active_stmt_ = ctx;
   const uint64_t dispatch_start = ctx->tracing ? trace_.NowNs() : 0;
   const size_t spans_before = ctx->trace.spans.size();
 
   obs::PlanStatsNode plan;
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    if (!want_profile) return DispatchStatement(stmt);
-    Result<ProfiledQuery> profiled = ProfileStatement(stmt);
+    if (stmt == nullptr) return RunSelect(*hit, want_profile ? &plan : nullptr);
+    if (!want_profile) return DispatchStatement(*stmt);
+    Result<ProfiledQuery> profiled = ProfileStatement(*stmt);
     if (!profiled.ok()) return profiled.status();
     plan = std::move(profiled->plan);
     return std::move(profiled->result);
   }();
-  active_trace_ = saved_trace;
+  active_stmt_ = saved_stmt;
 
   const double elapsed_seconds = timer.ElapsedSeconds();
   const double elapsed_ms = elapsed_seconds * 1e3;
@@ -361,12 +279,7 @@ Result<QueryResult> Database::ExecuteTracked(const sql::Statement& stmt,
     if (ctx->trace.spans.size() == spans_before) {
       // No fine-grained spans were recorded (pure-DML path without an
       // embedded SELECT): cover dispatch with one coarse execute span.
-      obs::TraceSpan span;
-      span.name = "execute";
-      span.category = "phase";
-      span.start_ns = dispatch_start;
-      span.dur_ns = trace_.NowNs() - dispatch_start;
-      ctx->trace.spans.push_back(std::move(span));
+      AddPhaseSpan(ctx, "execute", dispatch_start);
     }
     ctx->trace.statement = ctx->key;
     ctx->trace.dur_ns = trace_.NowNs() - ctx->trace.start_ns;
@@ -398,7 +311,7 @@ Status Database::ExportTrace(const std::string& path) const {
 Result<QueryResult> Database::DispatchStatement(const sql::Statement& stmt) {
   switch (stmt.kind) {
     case sql::StatementKind::kSelect:
-      return RunSelect(*stmt.select);
+      return RunSelect(SelectSource(*stmt.select));
     case sql::StatementKind::kExplain:
       return RunExplain(stmt);
     case sql::StatementKind::kCreateTable:
@@ -441,8 +354,11 @@ exec::OperatorPtr Database::ComposedViews::MakeViewScan(
 }
 
 Planner Database::MakePlanner() {
+  obs::StatementTrace* trace = active_stmt_ != nullptr && active_stmt_->tracing
+                                   ? &active_stmt_->trace
+                                   : nullptr;
   return Planner(catalog_, &config_, &composed_views_, &opt_stats_, &trace_,
-                 active_trace_);
+                 trace);
 }
 
 std::string Database::IndexJoinNote() const {
@@ -576,10 +492,10 @@ Result<QueryResult> Database::RunSet(const sql::SetStmt& stmt) {
   return QueryResult{};
 }
 
-Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
+Result<QueryResult> Database::RunSelect(const SelectSource& source,
                                         obs::PlanStatsNode* profile) {
   BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
-                           ExecSelectToChunks(stmt, profile));
+                           ExecSelectToChunks(source, profile));
   QueryResult out;
   out.column_names = data.schema.ColumnNames();
   out.rows.reserve(data.row_count);
@@ -598,29 +514,46 @@ Result<QueryResult> Database::RunSelect(const sql::SelectStmt& stmt,
   return out;
 }
 
+Result<exec::OperatorPtr> Database::PlanSelectSource(
+    const SelectSource& source, StatementContext* ctx) {
+  Planner planner = MakePlanner();
+  const char* phase = "bind+plan";
+  uint64_t phase_start = ctx->tracing ? trace_.NowNs() : 0;
+  exec::OperatorPtr plan;
+  if (source.cached == nullptr) {
+    // Binding interleaves with planning in this engine (the planner calls
+    // the binder per expression), so the trace gets one merged bind+plan
+    // span.
+    BORNSQL_ASSIGN_OR_RETURN(plan, planner.PlanSelect(*source.stmt));
+  } else {
+    // A plan-cache hit replaces lex, parse and bind+plan with a private
+    // copy of the cached optimized plan, arguments substituted; only
+    // lowering remains.
+    plan::LogicalPlan logical = plan::ClonePlanDeep(*source.cached);
+    BORNSQL_RETURN_IF_ERROR(SubstituteParamsInPlan(&logical, *source.args));
+    AddPhaseSpan(ctx, "substitute", phase_start);
+    phase = "lower";
+    phase_start = ctx->tracing ? trace_.NowNs() : 0;
+    BORNSQL_ASSIGN_OR_RETURN(plan, planner.LowerLogical(logical));
+  }
+  if (config_.verify_plans) {
+    BORNSQL_RETURN_IF_ERROR(lint::VerifyPlanStatus(*plan));
+  }
+  AddPhaseSpan(ctx, phase, phase_start);
+  return plan;
+}
+
 Result<exec::MaterializedChunks> Database::ExecSelectToChunks(
-    const sql::SelectStmt& stmt, obs::PlanStatsNode* profile) {
-  obs::StatementTrace* trace = active_trace_;
+    const SelectSource& source, obs::PlanStatsNode* profile) {
+  // Every statement runs inside ExecuteTracked, which sets active_stmt_.
+  StatementContext* ctx = active_stmt_;
+  assert(ctx != nullptr);
   // The query's memory budget. Declared before the plan so the operators'
   // destructors (which release their reservations) run before it dies.
   obs::MemoryTracker query_mem("query", "query", mem_parent_);
   if (query_mem_limit_ > 0) query_mem.set_limit(query_mem_limit_);
-  // Binding interleaves with planning in this engine (the planner calls the
-  // binder per expression), so the trace gets one merged bind+plan span.
-  const uint64_t plan_start = trace != nullptr ? trace_.NowNs() : 0;
-  Planner planner = MakePlanner();
-  BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr plan, planner.PlanSelect(stmt));
-  if (config_.verify_plans) {
-    BORNSQL_RETURN_IF_ERROR(lint::VerifyPlanStatus(*plan));
-  }
-  if (trace != nullptr) {
-    obs::TraceSpan span;
-    span.name = "bind+plan";
-    span.category = "phase";
-    span.start_ns = plan_start;
-    span.dur_ns = trace_.NowNs() - plan_start;
-    trace->spans.push_back(std::move(span));
-  }
+  BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
+                           PlanSelectSource(source, ctx));
   plan->SetMemoryTracker(&query_mem);
   plan->SetVectorSize(config_.vector_size);
   // Execution-contract checking (BSV020-025): one verifier per statement,
@@ -631,20 +564,13 @@ Result<exec::MaterializedChunks> Database::ExecSelectToChunks(
   if (verify_chunks) plan->SetExecVerifier(&chunk_verifier);
   const bool instrument = profile != nullptr || config_.collect_exec_stats;
   if (instrument) plan->EnableStats(true);
-  const uint64_t exec_start = trace != nullptr ? trace_.NowNs() : 0;
+  const uint64_t exec_start = ctx->tracing ? trace_.NowNs() : 0;
   Result<exec::MaterializedChunks> drained = exec::DrainChunks(*plan);
   if (verify_chunks) {
     chunk_verifier_totals_.Add(chunk_verifier.stats());
     ++chunk_verified_queries_;
   }
-  if (trace != nullptr) {
-    obs::TraceSpan span;
-    span.name = "execute";
-    span.category = "phase";
-    span.start_ns = exec_start;
-    span.dur_ns = trace_.NowNs() - exec_start;
-    trace->spans.push_back(std::move(span));
-  }
+  AddPhaseSpan(ctx, "execute", exec_start);
   if (drained.ok()) {
     // The materialized result buffer is query memory too: charging it
     // gives streaming point lookups a truthful nonzero peak and puts the
@@ -668,9 +594,9 @@ Result<exec::MaterializedChunks> Database::ExecSelectToChunks(
     std::unordered_set<const exec::Operator*> seen;
     AccumulatePlanMetrics(metrics_, *plan, &seen);
     if (profile != nullptr) *profile = CapturePlan(*plan);
-    if (trace != nullptr) {
+    if (ctx->tracing) {
       std::unordered_set<const exec::Operator*> span_seen;
-      AppendOperatorSpans(trace_, *plan, trace, &span_seen);
+      AppendOperatorSpans(trace_, *plan, &ctx->trace, &span_seen);
     }
   }
   return result;
@@ -695,7 +621,7 @@ Result<obs::PlanStatsNode> Database::DescribePlan(const sql::Statement& stmt) {
         root.children.push_back(CapturePlan(*plan));
       } else {
         obs::PlanStatsNode values;
-        values.name = StrFormat("Values(%zu rows)", ins.values.size());
+        values.name = ValuesNodeName(ins);
         root.children.push_back(std::move(values));
       }
       return root;
@@ -731,14 +657,11 @@ Result<obs::PlanStatsNode> Database::DescribePlan(const sql::Statement& stmt) {
     case sql::StatementKind::kCreateTable: {
       const sql::CreateTableStmt& ct = *stmt.create_table;
       obs::PlanStatsNode root;
+      root.name = CreateTableNodeName(ct);
       if (ct.as_select != nullptr) {
-        root.name = StrFormat("CreateTableAs(%s)", ct.table.c_str());
         BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
                                  planner.PlanSelect(*ct.as_select));
         root.children.push_back(CapturePlan(*plan));
-      } else {
-        root.name = StrFormat("CreateTable(%s, %zu columns)",
-                              ct.table.c_str(), ct.columns.size());
       }
       return root;
     }
@@ -778,8 +701,8 @@ Result<ProfiledQuery> Database::ProfileStatement(const sql::Statement& stmt) {
   WallTimer timer;
   switch (stmt.kind) {
     case sql::StatementKind::kSelect: {
-      BORNSQL_ASSIGN_OR_RETURN(out.result,
-                               RunSelect(*stmt.select, &out.plan));
+      BORNSQL_ASSIGN_OR_RETURN(
+          out.result, RunSelect(SelectSource(*stmt.select), &out.plan));
       return out;
     }
     case sql::StatementKind::kInsert: {
@@ -794,8 +717,7 @@ Result<ProfiledQuery> Database::ProfileStatement(const sql::Statement& stmt) {
         out.plan.children.push_back(std::move(select_profile));
       } else {
         obs::PlanStatsNode values;
-        values.name =
-            StrFormat("Values(%zu rows)", stmt.insert->values.size());
+        values.name = ValuesNodeName(*stmt.insert);
         out.plan.children.push_back(std::move(values));
       }
       return out;
@@ -832,11 +754,7 @@ Result<ProfiledQuery> Database::ProfileStatement(const sql::Statement& stmt) {
       obs::PlanStatsNode select_profile;
       BORNSQL_ASSIGN_OR_RETURN(
           out.result, RunCreateTable(*stmt.create_table, &select_profile));
-      const sql::CreateTableStmt& ct = *stmt.create_table;
-      out.plan.name = ct.as_select != nullptr
-                          ? StrFormat("CreateTableAs(%s)", ct.table.c_str())
-                          : StrFormat("CreateTable(%s, %zu columns)",
-                                      ct.table.c_str(), ct.columns.size());
+      out.plan.name = CreateTableNodeName(*stmt.create_table);
       out.plan.has_stats = true;
       out.plan.stats =
           DmlStats(out.result.rows_affected, timer.ElapsedSeconds());
@@ -1045,8 +963,8 @@ Result<QueryResult> Database::RunExplainLint(const sql::Statement& stmt) {
 Result<QueryResult> Database::RunCreateTable(const sql::CreateTableStmt& stmt,
                                              obs::PlanStatsNode* profile) {
   if (stmt.as_select != nullptr) {
-    BORNSQL_ASSIGN_OR_RETURN(QueryResult data,
-                             RunSelect(*stmt.as_select, profile));
+    BORNSQL_ASSIGN_OR_RETURN(
+        QueryResult data, RunSelect(SelectSource(*stmt.as_select), profile));
     Schema schema;
     for (const std::string& name : data.column_names) {
       schema.Add(Column{stmt.table, name, ValueType::kNull});
@@ -1177,7 +1095,8 @@ Result<QueryResult> Database::RunInsert(const sql::InsertStmt& stmt,
     // is inserted, so a select reading the target table sees its
     // pre-statement contents.)
     BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks data,
-                             ExecSelectToChunks(*stmt.select, profile));
+                             ExecSelectToChunks(SelectSource(*stmt.select),
+                                                profile));
     if (data.row_count > 0 && data.schema.size() != positions.size()) {
       return Status::BindError(
           StrFormat("INSERT expects %zu columns, SELECT produced %zu",

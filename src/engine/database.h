@@ -84,10 +84,6 @@ class Database {
   // first error.
   Status ExecuteScript(std::string_view sql);
 
-  // Executes an already-parsed statement (used by BornSQL's query driver to
-  // skip re-parsing in hot loops).
-  Result<QueryResult> ExecuteStatement(const sql::Statement& stmt);
-
   // Executes one statement with per-operator instrumentation enabled and
   // returns the stats-annotated plan alongside the result. EXPLAIN ANALYZE
   // is this plus text rendering.
@@ -101,7 +97,8 @@ class Database {
   // ---- serving hooks (serve/session.h) ----
 
   // Executes an already-parsed statement under a caller-chosen statement-
-  // stats key (sessions prefix keys for per-session attribution).
+  // stats key (sessions prefix keys for per-session attribution; callers
+  // without statement text pass FallbackStatementKey(stmt)).
   Result<QueryResult> ExecuteParsed(const sql::Statement& stmt,
                                     std::string key);
 
@@ -112,9 +109,11 @@ class Database {
   Result<plan::LogicalPlan> BuildOptimizedPlan(const sql::SelectStmt& stmt);
 
   // EXECUTE hot path on a cache hit: deep-clones `cached`, substitutes
-  // `args` for its placeholders, lowers and runs it. The statement trace
-  // records only substitute / lower / execute phase spans — lex, parse and
-  // bind+plan are exactly what the hit skipped.
+  // `args` for its placeholders, lowers and runs it through the same
+  // statement accounting and SELECT core as any other statement, so the
+  // slow-query log, memory limits, verifiers and stats all cover it. The
+  // statement trace records substitute / lower / execute phase spans —
+  // lex, parse and bind+plan are exactly what the hit skipped.
   Result<QueryResult> ExecuteCachedPlan(const plan::LogicalPlan& cached,
                                         const std::vector<Value>& args,
                                         std::string key);
@@ -176,8 +175,9 @@ class Database {
 
   // Slow-query log (born_slow_log). Armed via SET born.slow_query_ms = N
   // or set_slow_query_ms; negative disables. While armed, every eligible
-  // statement runs instrumented (auto_explain-style) so logged entries
-  // carry stats-annotated plans — documented overhead.
+  // statement — plan-cache hits included — runs instrumented
+  // (auto_explain-style) so logged entries carry stats-annotated plans —
+  // documented overhead.
   const obs::SlowQueryLog& slow_log() const { return slow_log_; }
   double slow_query_ms() const { return slow_query_ms_; }
   void set_slow_query_ms(double ms) { slow_query_ms_ = ms; }
@@ -202,30 +202,52 @@ class Database {
     obs::PlanStatsNode* profile_plan = nullptr;
   };
 
+  // Where a SELECT's physical plan comes from: an AST (build + optimize +
+  // lower, traced as one bind+plan span) or, on a plan-cache hit, a cached
+  // optimized logical plan and its arguments (deep clone + parameter
+  // substitution + lower, traced as substitute / lower). Everything from
+  // lowering on is shared.
+  struct SelectSource {
+    explicit SelectSource(const sql::SelectStmt& select) : stmt(&select) {}
+    SelectSource(const plan::LogicalPlan& plan,
+                 const std::vector<Value>& params)
+        : cached(&plan), args(&params) {}
+    const sql::SelectStmt* stmt = nullptr;
+    const plan::LogicalPlan* cached = nullptr;
+    const std::vector<Value>* args = nullptr;
+  };
+
   // Starts the statement's trace interval (when tracing is enabled).
   void BeginStatement(StatementContext* ctx);
   // Appends a phase span [start_ns, now] to the context's trace.
   void AddPhaseSpan(StatementContext* ctx, const char* name,
                     uint64_t start_ns);
-  // Dispatches `stmt` and records everything the introspection layer
-  // needs: metrics counters + latency, statement stats under ctx->key,
-  // the trace, and — when the slow-query log is armed — the profiled plan.
-  Result<QueryResult> ExecuteTracked(const sql::Statement& stmt,
+  // Runs one statement — `stmt`, or when it is null the plan-cache hit
+  // `hit` — and records everything the introspection layer needs: metrics
+  // counters + latency, statement stats under ctx->key, the trace, and —
+  // when the slow-query log is armed — the profiled plan.
+  Result<QueryResult> ExecuteTracked(const sql::Statement* stmt,
+                                     const SelectSource* hit,
                                      StatementContext* ctx);
-  // The kind switch shared by ExecuteStatement (which adds metrics) and the
-  // EXPLAIN machinery.
+  // The kind switch shared by ExecuteTracked and the EXPLAIN machinery.
   Result<QueryResult> DispatchStatement(const sql::Statement& stmt);
 
   // `profile` non-null requests instrumentation; the annotated plan of the
   // (inner) SELECT is stored there after execution.
-  Result<QueryResult> RunSelect(const sql::SelectStmt& stmt,
+  Result<QueryResult> RunSelect(const SelectSource& source,
                                 obs::PlanStatsNode* profile = nullptr);
-  // The execution core behind RunSelect and INSERT ... SELECT: plans,
-  // executes, and accounts for the statement, returning the result in its
-  // chunked columnar form so consumers build at most one Row per result
-  // row (values moved out of the buffered columns).
+  // The SELECT execution core behind RunSelect and INSERT ... SELECT:
+  // plans, executes, and accounts for the statement (query memory tracker
+  // and limit, plan and chunk verifiers, result-buffer charge, stats and
+  // operator spans), returning the result in its chunked columnar form so
+  // consumers build at most one Row per result row (values moved out of
+  // the buffered columns).
   Result<exec::MaterializedChunks> ExecSelectToChunks(
-      const sql::SelectStmt& stmt, obs::PlanStatsNode* profile);
+      const SelectSource& source, obs::PlanStatsNode* profile);
+  // The one branch of the SELECT core: the physical plan of `source`,
+  // verified when verify_plans is on, with its phase spans recorded.
+  Result<exec::OperatorPtr> PlanSelectSource(const SelectSource& source,
+                                             StatementContext* ctx);
   // EXPLAIN [ANALYZE] <stmt>: one text row per plan node, indented by depth.
   Result<QueryResult> RunExplain(const sql::Statement& stmt);
   // EXPLAIN VERIFY <stmt>: plans the statement's SELECT (if any) and runs
@@ -249,11 +271,6 @@ class Database {
   // born.trace_capacity, born.collect_exec_stats, born.verify_plans, and
   // per-rule optimizer flags born.opt.<rule>).
   Result<QueryResult> RunSet(const sql::SetStmt& stmt);
-  // Clone + substitute + lower + execute for ExecuteCachedPlan, recording
-  // the phase spans the hit path actually runs.
-  Result<QueryResult> RunCachedSelect(const plan::LogicalPlan& cached,
-                                      const std::vector<Value>& args,
-                                      StatementContext* ctx);
 
   // Builds a Planner wired to this database's optimizer stats and (when a
   // statement trace is active) the trace recorder.
@@ -307,10 +324,10 @@ class Database {
   ComposedViews composed_views_{this};
   bool trace_enabled_ = true;
   double slow_query_ms_ = -1.0;  // < 0 => slow-query log disarmed
-  // Trace of the statement currently executing; RunSelect appends its
-  // bind+plan / execute phase spans and operator spans here. Null when
-  // tracing is off or no statement is in flight.
-  obs::StatementTrace* active_trace_ = nullptr;
+  // The statement currently executing (set by ExecuteTracked); the SELECT
+  // core appends its phase and operator spans to its trace, and planners
+  // add their rule spans there. Null when no statement is in flight.
+  StatementContext* active_stmt_ = nullptr;
 };
 
 }  // namespace bornsql::engine

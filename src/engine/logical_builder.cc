@@ -603,10 +603,16 @@ Result<LogicalPtr> LogicalBuilder::BuildTableRef(const sql::TableRef& ref) {
     node->cte = std::move(binding);
     return node;
   }
-  // System views resolve after CTEs but are shadowed by real tables, so a
-  // user table that happens to be named born_stat_* keeps working.
-  if (system_views_ != nullptr && !catalog_->Exists(ref.table_name) &&
-      system_views_->IsSystemView(ref.table_name)) {
+  // One catalog lookup per table reference. System views resolve after
+  // CTEs but are shadowed by real tables, so a user table that happens to
+  // be named born_stat_* keeps working.
+  Result<storage::Table*> table = catalog_->GetTable(ref.table_name);
+  if (!table.ok()) {
+    if (table.status().code() != StatusCode::kNotFound ||
+        system_views_ == nullptr ||
+        !system_views_->IsSystemView(ref.table_name)) {
+      return table.status();
+    }
     exec::OperatorPtr view =
         system_views_->MakeViewScan(ref.table_name, qualifier);
     LogicalPtr node = plan::MakeLogical(LogicalKind::kScan);
@@ -616,13 +622,11 @@ Result<LogicalPtr> LogicalBuilder::BuildTableRef(const sql::TableRef& ref) {
     node->schema = view->schema();
     return node;
   }
-  BORNSQL_ASSIGN_OR_RETURN(storage::Table * table,
-                           catalog_->GetTable(ref.table_name));
   LogicalPtr node = plan::MakeLogical(LogicalKind::kScan);
   node->table_name = ref.table_name;
-  node->table = table;
+  node->table = *table;
   node->qualifier = qualifier;
-  node->schema = table->schema().WithQualifier(qualifier);
+  node->schema = (*table)->schema().WithQualifier(qualifier);
   return node;
 }
 

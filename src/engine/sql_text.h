@@ -29,8 +29,8 @@ std::string NormalizeTokens(const std::vector<sql::Token>& tokens,
 std::vector<std::string> NormalizeScriptTokens(
     const std::vector<sql::Token>& tokens);
 
-// Statement key for pre-parsed statements executed via
-// Database::ExecuteStatement, where the original text is unavailable —
+// Statement key for pre-parsed statements executed without their original
+// text (Database::ExecuteParsed callers, script fallbacks) —
 // e.g. "<prepared INSERT INTO weights>". Coarser than token normalization
 // but stable, so hot prepared loops still aggregate into one entry.
 std::string FallbackStatementKey(const sql::Statement& stmt);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "engine/sql_text.h"
 #include "engine/system_views.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
@@ -451,10 +452,11 @@ TEST(SqlTextTest, FallbackKeysForPreparedStatements) {
   LoadFixture(&db);
   auto parsed = sql::ParseStatement("SELECT a FROM t1 WHERE a = 1");
   BORNSQL_ASSERT_OK(parsed.status());
-  // ExecuteStatement has no statement text; executions aggregate under the
-  // coarse prepared-statement key.
+  // A pre-parsed statement has no statement text; executions aggregate
+  // under the coarse prepared-statement key.
   for (int i = 0; i < 3; ++i) {
-    auto result = db.ExecuteStatement(*parsed);
+    auto result =
+        db.ExecuteParsed(*parsed, engine::FallbackStatementKey(*parsed));
     BORNSQL_ASSERT_OK(result.status());
   }
   QueryResult stats = MustQuery(

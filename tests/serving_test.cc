@@ -362,6 +362,68 @@ TEST(ServingCacheTest, HitSkipsParsePlanPhasesInTrace) {
   EXPECT_EQ(trace.find("\"lex\""), std::string::npos) << trace;
 }
 
+// A cache hit runs through the same statement accounting and SELECT core
+// as every other statement, so the slow-query log, the per-query memory
+// limit and collect_exec_stats all cover it.
+
+TEST(ServingCacheTest, SlowLogRecordsEveryRunIncludingHits) {
+  auto server = MakeServer();
+  auto session = server->Connect();
+  MustExecute(*session, "SET born.slow_query_ms = 0");  // everything is slow
+  for (int a = 1; a <= 3; ++a) {  // one miss, then two hits
+    MustExecute(*session,
+                "SELECT b FROM t WHERE a = " + std::to_string(a));
+  }
+  EXPECT_EQ(server->plan_cache().hits(), 2u);
+  auto logged = MustExecute(
+      *session, "SELECT rows, plan FROM born_slow_log WHERE query = 's" +
+                    std::to_string(session->id()) +
+                    ": SELECT b FROM t WHERE a = ?'");
+  ASSERT_EQ(logged.rows.size(), 3u);
+  for (const Row& row : logged.rows) {
+    EXPECT_EQ(row[0].AsInt(), 1);
+    const std::string plan = row[1].AsText();
+    EXPECT_NE(plan.find("SeqScan(t"), std::string::npos) << plan;
+    EXPECT_NE(plan.find("actual rows="), std::string::npos) << plan;
+  }
+}
+
+TEST(ServingCacheTest, HitHonorsQueryMemoryLimit) {
+  auto server = MakeServer();
+  auto session = server->Connect();
+  MustExecute(*session, "SELECT b FROM t WHERE a = 1");  // miss: cached
+  MustExecute(*session, "SET born.memory_limit = 1");
+  auto denied = session->Execute("SELECT b FROM t WHERE a = 2");
+  ASSERT_FALSE(denied.ok());
+  EXPECT_EQ(denied.status().code(), StatusCode::kResourceExhausted)
+      << denied.status().ToString();
+  EXPECT_EQ(server->plan_cache().hits(), 1u);
+  MustExecute(*session, "SET born.memory_limit = 0");
+  auto rows = MustExecute(*session, "SELECT b FROM t WHERE a = 3");
+  ASSERT_EQ(rows.rows.size(), 1u);
+  EXPECT_EQ(rows.rows[0][0].AsText(), "z");
+  EXPECT_EQ(server->plan_cache().hits(), 2u);
+}
+
+TEST(ServingCacheTest, HitFoldsOperatorsIntoStatOperators) {
+  auto server = MakeServer();
+  auto session = server->Connect();
+  MustExecute(*session, "SET born.collect_exec_stats = 1");
+  const std::string scans =
+      "SELECT instances, rows FROM born_stat_operators "
+      "WHERE operator = 'SeqScan'";
+  MustExecute(*session, "SELECT b FROM t WHERE a = 1");  // miss
+  auto before = MustExecute(*session, scans);
+  ASSERT_EQ(before.rows.size(), 1u);
+  const uint64_t hits = server->plan_cache().hits();
+  MustExecute(*session, "SELECT b FROM t WHERE a = 2");  // hit
+  EXPECT_EQ(server->plan_cache().hits(), hits + 1);
+  auto after = MustExecute(*session, scans);
+  ASSERT_EQ(after.rows.size(), 1u);
+  EXPECT_EQ(after.rows[0][0].AsInt(), before.rows[0][0].AsInt() + 1);
+  EXPECT_EQ(after.rows[0][1].AsInt(), before.rows[0][1].AsInt() + 4);
+}
+
 TEST(ServingViewsTest, PreparedSessionsAndPlanCacheViews) {
   auto server = MakeServer();
   auto session = server->Connect();
