@@ -357,8 +357,11 @@ Planner Database::MakePlanner() {
   obs::StatementTrace* trace = active_stmt_ != nullptr && active_stmt_->tracing
                                    ? &active_stmt_->trace
                                    : nullptr;
-  return Planner(catalog_, &config_, &composed_views_, &opt_stats_, &trace_,
-                 trace);
+  Planner planner(catalog_, &config_, &composed_views_, &opt_stats_, &trace_,
+                  trace);
+  planner.set_run_plan(
+      [this](exec::Operator& plan) { return RunPlan(plan, nullptr); });
+  return planner;
 }
 
 std::string Database::IndexJoinNote() const {
@@ -514,8 +517,17 @@ Result<QueryResult> Database::RunSelect(const SelectSource& source,
   return out;
 }
 
+Result<exec::MaterializedChunks> Database::ExecSelectToChunks(
+    const SelectSource& source, obs::PlanStatsNode* profile) {
+  BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr plan, PlanSelectSource(source));
+  return RunPlan(*plan, profile);
+}
+
 Result<exec::OperatorPtr> Database::PlanSelectSource(
-    const SelectSource& source, StatementContext* ctx) {
+    const SelectSource& source) {
+  // Every statement runs inside ExecuteTracked, which sets active_stmt_.
+  StatementContext* ctx = active_stmt_;
+  assert(ctx != nullptr);
   Planner planner = MakePlanner();
   const char* phase = "bind+plan";
   uint64_t phase_start = ctx->tracing ? trace_.NowNs() : 0;
@@ -536,39 +548,38 @@ Result<exec::OperatorPtr> Database::PlanSelectSource(
     phase_start = ctx->tracing ? trace_.NowNs() : 0;
     BORNSQL_ASSIGN_OR_RETURN(plan, planner.LowerLogical(logical));
   }
-  if (config_.verify_plans) {
-    BORNSQL_RETURN_IF_ERROR(lint::VerifyPlanStatus(*plan));
-  }
   AddPhaseSpan(ctx, phase, phase_start);
   return plan;
 }
 
-Result<exec::MaterializedChunks> Database::ExecSelectToChunks(
-    const SelectSource& source, obs::PlanStatsNode* profile) {
-  // Every statement runs inside ExecuteTracked, which sets active_stmt_.
+Result<exec::MaterializedChunks> Database::RunPlan(
+    exec::Operator& plan, obs::PlanStatsNode* profile) {
+  // Every plan runs inside ExecuteTracked, which sets active_stmt_.
   StatementContext* ctx = active_stmt_;
   assert(ctx != nullptr);
-  // The query's memory budget. Declared before the plan so the operators'
-  // destructors (which release their reservations) run before it dies.
+  if (config_.verify_plans) {
+    BORNSQL_RETURN_IF_ERROR(lint::VerifyPlanStatus(plan));
+  }
+  // The plan's memory budget. The operators release their reservations
+  // into it before it dies (below), success or failure.
   obs::MemoryTracker query_mem("query", "query", mem_parent_);
   if (query_mem_limit_ > 0) query_mem.set_limit(query_mem_limit_);
-  BORNSQL_ASSIGN_OR_RETURN(exec::OperatorPtr plan,
-                           PlanSelectSource(source, ctx));
-  plan->SetMemoryTracker(&query_mem);
-  plan->SetVectorSize(config_.vector_size);
-  // Execution-contract checking (BSV020-025): one verifier per statement,
+  plan.SetMemoryTracker(&query_mem);
+  plan.SetVectorSize(config_.vector_size);
+  // Execution-contract checking (BSV020-025): one verifier per plan,
   // armed at every operator boundary of this tree. Counters accumulate
   // into the database's lifetime totals below, success or failure.
   lint::ChunkVerifier chunk_verifier;
   const bool verify_chunks = config_.verify_chunks;
-  if (verify_chunks) plan->SetExecVerifier(&chunk_verifier);
+  if (verify_chunks) plan.SetExecVerifier(&chunk_verifier);
   const bool instrument = profile != nullptr || config_.collect_exec_stats;
-  if (instrument) plan->EnableStats(true);
+  if (instrument) plan.EnableStats(true);
   const uint64_t exec_start = ctx->tracing ? trace_.NowNs() : 0;
-  Result<exec::MaterializedChunks> drained = exec::DrainChunks(*plan);
+  Result<exec::MaterializedChunks> drained = exec::DrainChunks(plan);
   if (verify_chunks) {
     chunk_verifier_totals_.Add(chunk_verifier.stats());
     ++chunk_verified_queries_;
+    plan.SetExecVerifier(nullptr);
   }
   AddPhaseSpan(ctx, "execute", exec_start);
   if (drained.ok()) {
@@ -588,18 +599,20 @@ Result<exec::MaterializedChunks> Database::ExecSelectToChunks(
   // Recorded on failure too: an over-limit query's peak is exactly what
   // the caller wants to see.
   last_query_peak_bytes_ = query_mem.peak();
+  // The plan outlives query_mem, and so may a CTE body it shares with the
+  // outer query of a plan-time subquery: release every reservation now.
+  plan.SetMemoryTracker(nullptr);
   if (!drained.ok()) return drained.status();
-  exec::MaterializedChunks result = std::move(*drained);
   if (instrument) {
     std::unordered_set<const exec::Operator*> seen;
-    AccumulatePlanMetrics(metrics_, *plan, &seen);
-    if (profile != nullptr) *profile = CapturePlan(*plan);
+    AccumulatePlanMetrics(metrics_, plan, &seen);
+    if (profile != nullptr) *profile = CapturePlan(plan);
     if (ctx->tracing) {
       std::unordered_set<const exec::Operator*> span_seen;
-      AppendOperatorSpans(trace_, *plan, &ctx->trace, &span_seen);
+      AppendOperatorSpans(trace_, plan, &ctx->trace, &span_seen);
     }
   }
-  return result;
+  return drained;
 }
 
 Result<obs::PlanStatsNode> Database::DescribePlan(const sql::Statement& stmt) {
@@ -1078,11 +1091,8 @@ Result<QueryResult> Database::RunInsert(const sql::InsertStmt& stmt,
       }
       Row row(schema.size());
       for (size_t i = 0; i < exprs.size(); ++i) {
-        sql::ExprPtr folded = sql::CloneExpr(*exprs[i]);
-        Planner planner = MakePlanner();
-        BORNSQL_RETURN_IF_ERROR(planner.FoldSubqueries(folded.get()));
         BORNSQL_ASSIGN_OR_RETURN(exec::BoundExprPtr bound,
-                                 BindExpr(*folded, empty));
+                                 BindFolded(*exprs[i], empty));
         BORNSQL_ASSIGN_OR_RETURN(row[positions[i]],
                                  exec::Eval(*bound, no_input));
       }
@@ -1199,13 +1209,10 @@ Result<QueryResult> Database::RunUpdate(const sql::UpdateStmt& stmt) {
   BORNSQL_ASSIGN_OR_RETURN(storage::Table * table,
                            catalog_->GetTable(stmt.table));
   Schema schema = table->schema().WithQualifier(stmt.table);
-  Planner planner = MakePlanner();
 
   exec::BoundExprPtr where;
   if (stmt.where != nullptr) {
-    sql::ExprPtr folded = sql::CloneExpr(*stmt.where);
-    BORNSQL_RETURN_IF_ERROR(planner.FoldSubqueries(folded.get()));
-    BORNSQL_ASSIGN_OR_RETURN(where, BindExpr(*folded, schema));
+    BORNSQL_ASSIGN_OR_RETURN(where, BindFolded(*stmt.where, schema));
   }
   std::vector<std::pair<size_t, exec::BoundExprPtr>> sets;
   for (const auto& [col, expr] : stmt.set_clauses) {
@@ -1214,10 +1221,8 @@ Result<QueryResult> Database::RunUpdate(const sql::UpdateStmt& stmt) {
       return Status::BindError("SET column '" + col +
                                "' is not a column of '" + stmt.table + "'");
     }
-    sql::ExprPtr folded = sql::CloneExpr(*expr);
-    BORNSQL_RETURN_IF_ERROR(planner.FoldSubqueries(folded.get()));
     BORNSQL_ASSIGN_OR_RETURN(exec::BoundExprPtr bound,
-                             BindExpr(*folded, schema));
+                             BindFolded(*expr, schema));
     sets.emplace_back(idx, std::move(bound));
   }
 
@@ -1254,11 +1259,8 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
   if (stmt.where == nullptr) {
     flags.assign(table->rows().size(), true);
   } else {
-    Planner planner = MakePlanner();
-    sql::ExprPtr folded = sql::CloneExpr(*stmt.where);
-    BORNSQL_RETURN_IF_ERROR(planner.FoldSubqueries(folded.get()));
     BORNSQL_ASSIGN_OR_RETURN(exec::BoundExprPtr where,
-                             BindExpr(*folded, schema));
+                             BindFolded(*stmt.where, schema));
     for (size_t i = 0; i < table->rows().size(); ++i) {
       BORNSQL_ASSIGN_OR_RETURN(Value v,
                                exec::Eval(*where, table->rows()[i]));
@@ -1268,6 +1270,14 @@ Result<QueryResult> Database::RunDelete(const sql::DeleteStmt& stmt) {
   QueryResult out;
   out.rows_affected = table->DeleteRows(flags);
   return out;
+}
+
+Result<exec::BoundExprPtr> Database::BindFolded(const sql::Expr& expr,
+                                                const Schema& schema) {
+  if (!HasSubquery(expr)) return BindExpr(expr, schema);
+  sql::ExprPtr folded = sql::CloneExpr(expr);
+  BORNSQL_RETURN_IF_ERROR(MakePlanner().FoldSubqueries(folded.get()));
+  return BindExpr(*folded, schema);
 }
 
 }  // namespace bornsql::engine

@@ -129,7 +129,9 @@ class Database {
   uint64_t query_memory_limit() const { return query_mem_limit_; }
   void set_query_memory_limit(uint64_t bytes) { query_mem_limit_ = bytes; }
 
-  // Peak bytes reserved by the most recent SELECT-bearing statement.
+  // Peak bytes reserved by the most recently executed plan: a statement's
+  // SELECT, or the last plan-time subquery of a statement without one
+  // (DELETE ... WHERE a IN (SELECT ...)).
   uint64_t last_query_peak_bytes() const { return last_query_peak_bytes_; }
 
   // Lifetime totals of the execution-contract chunk verifier across every
@@ -138,7 +140,8 @@ class Database {
   const lint::ChunkVerifierStats& chunk_verifier_totals() const {
     return chunk_verifier_totals_;
   }
-  // Number of statement executions that ran with the verifier armed.
+  // Number of plans executed with the verifier armed: each statement's
+  // SELECT and each plan-time subquery count once.
   uint64_t chunk_verified_queries() const { return chunk_verified_queries_; }
 
   // The metrics sink (process-wide registry by default). Every statement
@@ -236,18 +239,21 @@ class Database {
   // (inner) SELECT is stored there after execution.
   Result<QueryResult> RunSelect(const SelectSource& source,
                                 obs::PlanStatsNode* profile = nullptr);
-  // The SELECT execution core behind RunSelect and INSERT ... SELECT:
-  // plans, executes, and accounts for the statement (query memory tracker
-  // and limit, plan and chunk verifiers, result-buffer charge, stats and
-  // operator spans), returning the result in its chunked columnar form so
-  // consumers build at most one Row per result row (values moved out of
-  // the buffered columns).
+  // The SELECT core behind RunSelect and INSERT ... SELECT: PlanSelectSource
+  // then RunPlan. Plan-time subqueries enter at RunPlan, through the
+  // planner hook MakePlanner installs.
   Result<exec::MaterializedChunks> ExecSelectToChunks(
       const SelectSource& source, obs::PlanStatsNode* profile);
-  // The one branch of the SELECT core: the physical plan of `source`,
-  // verified when verify_plans is on, with its phase spans recorded.
-  Result<exec::OperatorPtr> PlanSelectSource(const SelectSource& source,
-                                             StatementContext* ctx);
+  // The one branch of the SELECT core: the physical plan of `source`, with
+  // its phase spans recorded.
+  Result<exec::OperatorPtr> PlanSelectSource(const SelectSource& source);
+  // Runs `plan` to completion and accounts for it: query memory tracker
+  // and limit, plan and chunk verifiers, vector size, result-buffer charge,
+  // stats and operator spans. Returns the result in its chunked columnar
+  // form so consumers build at most one Row per result row (values moved
+  // out of the buffered columns). Every charge is released on return.
+  Result<exec::MaterializedChunks> RunPlan(exec::Operator& plan,
+                                           obs::PlanStatsNode* profile);
   // EXPLAIN [ANALYZE] <stmt>: one text row per plan node, indented by depth.
   Result<QueryResult> RunExplain(const sql::Statement& stmt);
   // EXPLAIN VERIFY <stmt>: plans the statement's SELECT (if any) and runs
@@ -267,13 +273,18 @@ class Database {
                                 obs::PlanStatsNode* profile = nullptr);
   Result<QueryResult> RunUpdate(const sql::UpdateStmt& stmt);
   Result<QueryResult> RunDelete(const sql::DeleteStmt& stmt);
+  // Binds a DML expression against `schema`. An expression holding a
+  // subquery is cloned and folded first (the statement stays untouched).
+  Result<exec::BoundExprPtr> BindFolded(const sql::Expr& expr,
+                                        const Schema& schema);
   // SET <name> = <value>: engine settings (born.slow_query_ms, born.trace,
   // born.trace_capacity, born.collect_exec_stats, born.verify_plans, and
   // per-rule optimizer flags born.opt.<rule>).
   Result<QueryResult> RunSet(const sql::SetStmt& stmt);
 
-  // Builds a Planner wired to this database's optimizer stats and (when a
-  // statement trace is active) the trace recorder.
+  // Builds a Planner wired to this database's optimizer stats, (when a
+  // statement trace is active) the trace recorder, and RunPlan as the run
+  // step of plan-time subqueries.
   Planner MakePlanner();
   // The diagnostic appended to EXPLAIN / EXPLAIN LOGICAL output when
   // use_index_joins cannot take effect under the configured join strategy;

@@ -310,33 +310,6 @@ int PullUpSimpleSubqueries(sql::SelectCore* core,
   return counter;
 }
 
-// True if `e` holds a subquery node FoldSubqueries would fold.
-bool HasSubquery(const sql::Expr& e) {
-  switch (e.kind) {
-    case sql::ExprKind::kScalarSubquery:
-    case sql::ExprKind::kInSubquery:
-    case sql::ExprKind::kExists:
-      return true;
-    default:
-      break;
-  }
-  if (e.left && HasSubquery(*e.left)) return true;
-  if (e.right && HasSubquery(*e.right)) return true;
-  for (const auto& a : e.args) {
-    if (HasSubquery(*a)) return true;
-  }
-  for (const auto& p : e.partition_by) {
-    if (HasSubquery(*p)) return true;
-  }
-  for (const auto& [oe, d] : e.window_order_by) {
-    if (HasSubquery(*oe)) return true;
-  }
-  for (const auto& [w, t] : e.when_clauses) {
-    if (HasSubquery(*w) || HasSubquery(*t)) return true;
-  }
-  return e.else_clause && HasSubquery(*e.else_clause);
-}
-
 // True if any expression of `core` that BuildCore folds holds a subquery.
 bool CoreHasSubquery(const sql::SelectCore& core) {
   for (const sql::SelectItem& item : core.items) {
@@ -393,6 +366,33 @@ Result<std::vector<ExpandedItem>> ExpandItems(
 
 }  // namespace
 
+// True if `e` holds a subquery node FoldSubqueries would fold.
+bool HasSubquery(const sql::Expr& e) {
+  switch (e.kind) {
+    case sql::ExprKind::kScalarSubquery:
+    case sql::ExprKind::kInSubquery:
+    case sql::ExprKind::kExists:
+      return true;
+    default:
+      break;
+  }
+  if (e.left && HasSubquery(*e.left)) return true;
+  if (e.right && HasSubquery(*e.right)) return true;
+  for (const auto& a : e.args) {
+    if (HasSubquery(*a)) return true;
+  }
+  for (const auto& p : e.partition_by) {
+    if (HasSubquery(*p)) return true;
+  }
+  for (const auto& [oe, d] : e.window_order_by) {
+    if (HasSubquery(*oe)) return true;
+  }
+  for (const auto& [w, t] : e.when_clauses) {
+    if (HasSubquery(*w) || HasSubquery(*t)) return true;
+  }
+  return e.else_clause && HasSubquery(*e.else_clause);
+}
+
 std::shared_ptr<plan::CteBinding> LogicalBuilder::FindCte(
     const std::string& name) const {
   // Innermost scope first; within a WITH list a later duplicate name
@@ -415,78 +415,64 @@ Result<plan::LogicalPlan> LogicalBuilder::Build(const sql::SelectStmt& stmt) {
 }
 
 Status LogicalBuilder::FoldSubqueries(sql::Expr* e) {
-  switch (e->kind) {
-    case sql::ExprKind::kScalarSubquery:
-    case sql::ExprKind::kInSubquery:
-    case sql::ExprKind::kExists:
-      if (!hooks_.execute) {
-        return Status::Internal("no subquery execution hook installed");
-      }
-      break;
-    default:
-      break;
-  }
-  switch (e->kind) {
-    case sql::ExprKind::kScalarSubquery: {
-      BORNSQL_ASSIGN_OR_RETURN(LogicalPtr root, BuildStmt(*e->subquery));
-      BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedResult result,
-                               hooks_.execute(std::move(root)));
-      if (result.schema.size() != 1) {
-        return Status::BindError("scalar subquery must return one column");
-      }
-      if (result.rows.size() > 1) {
-        return Status::ExecutionError(
-            "scalar subquery returned more than one row");
-      }
-      Value v = result.rows.empty() ? Value::Null() : result.rows[0][0];
-      e->kind = sql::ExprKind::kLiteral;
-      e->literal = std::move(v);
-      e->subquery.reset();
-      return Status::OK();
+  const sql::ExprKind kind = e->kind;
+  if (kind != sql::ExprKind::kScalarSubquery &&
+      kind != sql::ExprKind::kInSubquery && kind != sql::ExprKind::kExists) {
+    if (e->left) BORNSQL_RETURN_IF_ERROR(FoldSubqueries(e->left.get()));
+    if (e->right) BORNSQL_RETURN_IF_ERROR(FoldSubqueries(e->right.get()));
+    for (auto& a : e->args) BORNSQL_RETURN_IF_ERROR(FoldSubqueries(a.get()));
+    for (auto& p : e->partition_by) {
+      BORNSQL_RETURN_IF_ERROR(FoldSubqueries(p.get()));
     }
-    case sql::ExprKind::kInSubquery: {
-      BORNSQL_ASSIGN_OR_RETURN(LogicalPtr root, BuildStmt(*e->subquery));
-      BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedResult result,
-                               hooks_.execute(std::move(root)));
-      if (result.schema.size() != 1) {
-        return Status::BindError("IN subquery must return one column");
-      }
-      e->kind = sql::ExprKind::kInSet;
-      e->set_values.clear();
-      e->set_values.reserve(result.rows.size());
-      for (Row& row : result.rows) e->set_values.push_back(std::move(row[0]));
-      e->subquery.reset();
-      return FoldSubqueries(e->left.get());
+    for (auto& [oe, d] : e->window_order_by) {
+      BORNSQL_RETURN_IF_ERROR(FoldSubqueries(oe.get()));
     }
-    case sql::ExprKind::kExists: {
-      BORNSQL_ASSIGN_OR_RETURN(LogicalPtr root, BuildStmt(*e->subquery));
-      BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedResult result,
-                               hooks_.execute(std::move(root)));
-      e->kind = sql::ExprKind::kLiteral;
-      e->literal = Value::Bool(!result.rows.empty());
-      e->subquery.reset();
-      return Status::OK();
+    for (auto& [w, t] : e->when_clauses) {
+      BORNSQL_RETURN_IF_ERROR(FoldSubqueries(w.get()));
+      BORNSQL_RETURN_IF_ERROR(FoldSubqueries(t.get()));
     }
-    default:
-      break;
+    if (e->else_clause) {
+      BORNSQL_RETURN_IF_ERROR(FoldSubqueries(e->else_clause.get()));
+    }
+    return Status::OK();
   }
-  if (e->left) BORNSQL_RETURN_IF_ERROR(FoldSubqueries(e->left.get()));
-  if (e->right) BORNSQL_RETURN_IF_ERROR(FoldSubqueries(e->right.get()));
-  for (auto& a : e->args) BORNSQL_RETURN_IF_ERROR(FoldSubqueries(a.get()));
-  for (auto& p : e->partition_by) {
-    BORNSQL_RETURN_IF_ERROR(FoldSubqueries(p.get()));
+  if (!hooks_.execute) {
+    return Status::Internal("no subquery execution hook installed");
   }
-  for (auto& [oe, d] : e->window_order_by) {
-    BORNSQL_RETURN_IF_ERROR(FoldSubqueries(oe.get()));
+  BORNSQL_ASSIGN_OR_RETURN(LogicalPtr root, BuildStmt(*e->subquery));
+  BORNSQL_ASSIGN_OR_RETURN(exec::MaterializedChunks result,
+                           hooks_.execute(std::move(root)));
+  if (kind == sql::ExprKind::kExists) {
+    e->kind = sql::ExprKind::kLiteral;
+    e->literal = Value::Bool(result.row_count > 0);
+    e->subquery.reset();
+    return Status::OK();
   }
-  for (auto& [w, t] : e->when_clauses) {
-    BORNSQL_RETURN_IF_ERROR(FoldSubqueries(w.get()));
-    BORNSQL_RETURN_IF_ERROR(FoldSubqueries(t.get()));
+  if (result.schema.size() != 1) {
+    return Status::BindError(kind == sql::ExprKind::kScalarSubquery
+                                 ? "scalar subquery must return one column"
+                                 : "IN subquery must return one column");
   }
-  if (e->else_clause) {
-    BORNSQL_RETURN_IF_ERROR(FoldSubqueries(e->else_clause.get()));
+  if (kind == sql::ExprKind::kScalarSubquery) {
+    if (result.row_count > 1) {
+      return Status::ExecutionError(
+          "scalar subquery returned more than one row");
+    }
+    e->kind = sql::ExprKind::kLiteral;
+    e->literal = result.row_count == 0
+                     ? Value::Null()
+                     : std::move(result.chunks[0].column(0)[0]);
+    e->subquery.reset();
+    return Status::OK();
   }
-  return Status::OK();
+  e->kind = sql::ExprKind::kInSet;
+  e->set_values.clear();
+  e->set_values.reserve(result.row_count);
+  for (exec::DataChunk& chunk : result.chunks) {
+    for (Value& v : chunk.column(0)) e->set_values.push_back(std::move(v));
+  }
+  e->subquery.reset();
+  return FoldSubqueries(e->left.get());
 }
 
 Result<LogicalPtr> LogicalBuilder::BuildStmt(const sql::SelectStmt& stmt) {

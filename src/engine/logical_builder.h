@@ -42,10 +42,13 @@ struct LogicalBuildHooks {
   // Runs the rule pipeline over a freshly built CTE body. Null = no rules
   // (EXPLAIN LOGICAL uses this for its "before" rendering).
   std::function<Status(plan::LogicalNode*)> optimize;
-  // Optimizes, lowers and drains a subquery plan (FoldSubqueries). Must be
+  // Optimizes, lowers and runs a subquery plan (FoldSubqueries). Must be
   // set whenever statements can contain subqueries.
-  std::function<Result<exec::MaterializedResult>(plan::LogicalPtr)> execute;
+  std::function<Result<exec::MaterializedChunks>(plan::LogicalPtr)> execute;
 };
+
+// True if `e` holds a subquery node FoldSubqueries would fold.
+bool HasSubquery(const sql::Expr& e);
 
 class LogicalBuilder {
  public:

@@ -440,20 +440,17 @@ bool HasParameters(const sql::Statement& stmt) {
   return found;
 }
 
-bool ContainsSubqueryExpr(const sql::Statement& stmt) {
-  bool found = false;
-  WalkStatement(const_cast<Statement*>(&stmt), [&](Expr* e, bool) {
-    switch (e->kind) {
-      case ExprKind::kScalarSubquery:
-      case ExprKind::kInSubquery:
-      case ExprKind::kExists:
-        found = true;
-        break;
-      default:
-        break;
+bool PlanCacheable(const sql::Statement& stmt) {
+  if (stmt.kind != sql::StatementKind::kSelect) return false;
+  bool cacheable = true;
+  WalkStatement(const_cast<Statement*>(&stmt), [&](Expr* e, bool ordinal) {
+    const ExprKind k = e->kind;
+    if (k == ExprKind::kScalarSubquery || k == ExprKind::kInSubquery ||
+        k == ExprKind::kExists || (ordinal && k == ExprKind::kParameter)) {
+      cacheable = false;
     }
   });
-  return found;
+  return cacheable;
 }
 
 size_t ParameterizeLiterals(sql::Statement* stmt, std::vector<Value>* args) {

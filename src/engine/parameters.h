@@ -73,18 +73,20 @@ Status SubstituteParamsInPlan(plan::LogicalPlan* plan,
 // True when any expression in the statement is a placeholder.
 bool HasParameters(const sql::Statement& stmt);
 
-// True when any expression carries a subquery (scalar, IN, EXISTS). The
-// planner folds those by executing them at plan time, which embeds
-// data-dependent constants — such statements are never plan-cached.
-bool ContainsSubqueryExpr(const sql::Statement& stmt);
+// True when the statement's plan may be cached: a SELECT with no
+// expression subquery (scalar, IN, EXISTS: the planner folds those by
+// executing them at plan time, which embeds data-dependent constants) and
+// no placeholder in an ordinal-sensitive position (an ORDER BY key, LIMIT
+// or OFFSET: the builder reads those positionally or const-evaluates them,
+// so a placeholder there plans differently from its bound value).
+bool PlanCacheable(const sql::Statement& stmt);
 
 // Auto-parameterization for ad-hoc SELECT caching: replaces source
 // literals (valid source span, non-NULL) with fresh `?` placeholders in
 // canonical walk order, appending each literal's value to `*args`. Skips
 // ORDER BY keys, LIMIT and OFFSET at every nesting level. Returns the
 // number of literals replaced. Call only on statements that passed the
-// cacheability checks (kSelect, no subquery expressions, no existing
-// placeholders).
+// cacheability checks (PlanCacheable, no existing placeholders).
 size_t ParameterizeLiterals(sql::Statement* stmt, std::vector<Value>* args);
 
 // Values of the literals still inline in the statement (ordinal-sensitive

@@ -13,23 +13,24 @@ using exec::OperatorPtr;
 LogicalBuildHooks Planner::MakeHooks(bool optimize) {
   LogicalBuildHooks hooks;
   if (optimize) {
-    hooks.optimize = [this](plan::LogicalNode* root) {
-      Optimizer opt(config_, opt_stats_, recorder_, trace_);
-      opt.set_validation_log(validation_log_);
-      return opt.Run(root);
+    hooks.optimize = [this](plan::LogicalNode* root) { return RunRules(root); };
+  }
+  if (run_plan_) {
+    hooks.execute =
+        [this](plan::LogicalPtr root) -> Result<exec::MaterializedChunks> {
+      BORNSQL_RETURN_IF_ERROR(RunRules(root.get()));
+      Lowering lowering(config_, system_views_);
+      BORNSQL_ASSIGN_OR_RETURN(OperatorPtr op, lowering.Lower(*root));
+      return run_plan_(*op);
     };
   }
-  hooks.execute =
-      [this](plan::LogicalPtr root) -> Result<exec::MaterializedResult> {
-    Optimizer opt(config_, opt_stats_, recorder_, trace_);
-    opt.set_validation_log(validation_log_);
-    BORNSQL_RETURN_IF_ERROR(opt.Run(root.get()));
-    Lowering lowering(config_, system_views_);
-    BORNSQL_ASSIGN_OR_RETURN(OperatorPtr op, lowering.Lower(*root));
-    op->SetVectorSize(config_->vector_size);
-    return exec::Drain(*op);
-  };
   return hooks;
+}
+
+Status Planner::RunRules(plan::LogicalNode* root) {
+  Optimizer opt(config_, opt_stats_, recorder_, trace_);
+  opt.set_validation_log(validation_log_);
+  return opt.Run(root);
 }
 
 Result<OperatorPtr> Planner::PlanSelect(const sql::SelectStmt& stmt) {

@@ -14,8 +14,10 @@
 #ifndef BORNSQL_ENGINE_PLANNER_H_
 #define BORNSQL_ENGINE_PLANNER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -62,6 +64,14 @@ class Planner {
   // column.
   Status FoldSubqueries(sql::Expr* expr);
 
+  // Runs a lowered plan to completion. Plan-time subqueries are optimized,
+  // lowered and handed to it; engine::Database installs its SELECT core's
+  // run step, so they execute under the statement's memory limit,
+  // verifiers, stats and spans. Without one, folding a subquery fails.
+  using RunPlanFn =
+      std::function<Result<exec::MaterializedChunks>(exec::Operator&)>;
+  void set_run_plan(RunPlanFn run) { run_plan_ = std::move(run); }
+
   // ---- individual pipeline stages ----
 
   // AST -> logical plan. When `optimize_ctes` is false, CTE bodies are
@@ -85,6 +95,8 @@ class Planner {
   // bodies get the rule pipeline; the execute hook always runs full
   // optimize + lower (plan-time subquery results must match execution).
   LogicalBuildHooks MakeHooks(bool optimize);
+  // The rule pipeline over `root`, reporting to this planner's sinks.
+  Status RunRules(plan::LogicalNode* root);
 
   catalog::Catalog* catalog_;
   const EngineConfig* config_;
@@ -93,6 +105,7 @@ class Planner {
   const obs::TraceRecorder* recorder_;      // may be null
   obs::StatementTrace* trace_;              // may be null
   RewriteValidationLog* validation_log_ = nullptr;  // may be null
+  RunPlanFn run_plan_;                               // may be empty
 };
 
 }  // namespace bornsql::engine

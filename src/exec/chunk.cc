@@ -29,14 +29,6 @@ Row DataChunk::MaterializeRow(size_t i) const {
   return out;
 }
 
-void DataChunk::AppendRowsTo(std::vector<Row>* out) const {
-  // No reserve(size() + size_) here: callers (Drain) invoke this once per
-  // chunk on the same accumulating vector, and an exact-size reserve defeats
-  // push_back's geometric growth -- at vector_size=1 that reallocates the
-  // whole result per row, turning an n-row drain into O(n^2) copying.
-  for (size_t i = 0; i < size_; ++i) out->push_back(MaterializeRow(i));
-}
-
 void DataChunk::AppendSelected(const DataChunk& src,
                                const SelectionVector& sel) {
   assert(src.column_count() == cols_.size());

@@ -63,8 +63,6 @@ class DataChunk {
   void AppendRow(Row&& row);  // moves the cell values
   // Copies row `i` out as a Row.
   Row MaterializeRow(size_t i) const;
-  // Appends every row, materialized, to `out` (final result buffering).
-  void AppendRowsTo(std::vector<Row>* out) const;
 
   // Appends src's rows at the positions in `sel` (filter compaction).
   void AppendSelected(const DataChunk& src, const SelectionVector& sel);

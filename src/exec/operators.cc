@@ -259,21 +259,6 @@ void Operator::ReleaseMemory() {
   mem_reserved_ = 0;
 }
 
-Result<MaterializedResult> Drain(Operator& op) {
-  MaterializedResult out;
-  out.schema = op.schema();
-  BORNSQL_RETURN_IF_ERROR(op.Open());
-  DataChunk chunk;
-  while (true) {
-    BORNSQL_ASSIGN_OR_RETURN(bool more, op.Next(&chunk));
-    if (!more) break;
-    assert(!chunk.empty());  // operators never emit empty chunks
-    chunk.AppendRowsTo(&out.rows);
-  }
-  op.Close();
-  return out;
-}
-
 Result<MaterializedChunks> DrainChunks(Operator& op) {
   MaterializedChunks out;
   out.schema = op.schema();

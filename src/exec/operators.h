@@ -304,9 +304,6 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-// Drains `op` into a MaterializedResult (calls Open first).
-Result<MaterializedResult> Drain(Operator& op);
-
 // A query result kept in its chunked columnar form: the operator's output
 // chunks verbatim, no per-row materialization. Consumers that need Rows
 // (the statement result buffer, INSERT ... SELECT) build each row once by
@@ -317,7 +314,8 @@ struct MaterializedChunks {
   size_t row_count = 0;
 };
 
-// Chunked variant of Drain (calls Open first).
+// Runs `op` to completion (calls Open first, Close last) and keeps its
+// output chunks.
 Result<MaterializedChunks> DrainChunks(Operator& op);
 
 // Shared emission helper for operators that serve from a materialized

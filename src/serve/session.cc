@@ -178,8 +178,7 @@ Result<QueryResult> Session::RunPrepare(
   BORNSQL_ASSIGN_OR_RETURN(entry->slots,
                            engine::AnalyzeParameters(entry->stmt.get()));
   engine::InferParameterTypes(*entry->stmt, db_.catalog(), &entry->slots);
-  entry->cacheable = entry->stmt->kind == sql::StatementKind::kSelect &&
-                     !engine::ContainsSubqueryExpr(*entry->stmt);
+  entry->cacheable = engine::PlanCacheable(*entry->stmt);
 
   MutexLock lock(&mu_);
   prepared_[AsciiToLower(prep.name)] = std::move(entry);  // re-PREPARE wins
@@ -221,12 +220,11 @@ Result<QueryResult> Session::RunExecute(const sql::ExecuteStmt& stmt) {
     return db_.ExecuteParsed(*clone, stats_key);
   };
   if (!plan_cache_enabled_.load(std::memory_order_relaxed) ||
-      !prep->cacheable ||
-      prep->cache_failed.load(std::memory_order_relaxed)) {
+      !prep->cacheable) {
     return fallback();
   }
   return RunThroughCache(*prep->stmt, prep->normalized, args, stats_key,
-                         &prep->cache_failed, fallback);
+                         fallback);
 }
 
 Result<QueryResult> Session::RunDeallocate(const sql::DeallocateStmt& stmt) {
@@ -290,7 +288,7 @@ Result<QueryResult> Session::RunSelect(sql::Statement stmt,
         "parameter placeholders are only valid inside PREPARE bodies");
   }
   if (!plan_cache_enabled_.load(std::memory_order_relaxed) ||
-      engine::ContainsSubqueryExpr(stmt)) {
+      !engine::PlanCacheable(stmt)) {
     // Expression subqueries are folded to constants at plan time, so a
     // cached plan would freeze their results; run uncached.
     return db_.ExecuteParsed(stmt, std::move(stats_key));
@@ -304,14 +302,12 @@ Result<QueryResult> Session::RunSelect(sql::Statement stmt,
     BORNSQL_RETURN_IF_ERROR(engine::BindParameters(&stmt, args));
     return db_.ExecuteParsed(stmt, stats_key);
   };
-  return RunThroughCache(stmt, normalized, args, stats_key, nullptr,
-                         fallback);
+  return RunThroughCache(stmt, normalized, args, stats_key, fallback);
 }
 
 Result<QueryResult> Session::RunThroughCache(
     const sql::Statement& stmt, const std::string& normalized,
     const std::vector<Value>& args, const std::string& stats_key,
-    std::atomic<bool>* cache_failed,
     const std::function<Result<QueryResult>()>& fallback) {
   const std::string key =
       CacheKey(normalized, engine::KeptLiteralSuffix(stmt));
@@ -338,15 +334,8 @@ Result<QueryResult> Session::RunThroughCache(
     }
     return db_.ExecuteCachedPlan(entry->plan, args, stats_key);
   }
-  // The plan builder refused the parameterized body — typically a
-  // placeholder in a position it must const-evaluate (LIMIT / OFFSET).
-  // Remember that for prepared statements so later EXECUTEs skip the
-  // doomed build, then let the fallback run (it reproduces real errors
-  // with their ordinary diagnostics).
-  if (cache_failed != nullptr &&
-      built.status().message().find("parameter") != std::string::npos) {
-    cache_failed->store(true, std::memory_order_relaxed);
-  }
+  // The plan builder refused the statement: the fallback runs it uncached
+  // and reproduces the error with its ordinary diagnostics.
   return fallback();
 }
 

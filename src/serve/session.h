@@ -121,12 +121,8 @@ class Session {
     std::string normalized;  // normalized body tokens, for keys and stats
     std::unique_ptr<sql::Statement> stmt;
     std::vector<engine::ParameterSlot> slots;
-    bool cacheable = false;  // SELECT without expression subqueries
+    bool cacheable = false;  // engine::PlanCacheable
     std::atomic<uint64_t> calls{0};
-    // Set when BuildOptimizedPlan refused the body (e.g. a parameter in
-    // LIMIT, which the builder must const-evaluate); later EXECUTEs go
-    // straight to the bind-into-clone fallback instead of re-failing.
-    std::atomic<bool> cache_failed{false};
   };
 
   Session(Server* server, uint64_t id, engine::EngineConfig config);
@@ -150,7 +146,6 @@ class Session {
   Result<engine::QueryResult> RunThroughCache(
       const sql::Statement& stmt, const std::string& normalized,
       const std::vector<Value>& args, const std::string& stats_key,
-      std::atomic<bool>* cache_failed,
       const std::function<Result<engine::QueryResult>()>& fallback);
 
   std::string CacheKey(const std::string& normalized,

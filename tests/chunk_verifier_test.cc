@@ -246,9 +246,9 @@ TEST(ChunkVerifierLifecycleTest, CleanDrainCountsChunksRowsAndChecks) {
                         exec::BoundLiteral(Value::Int(1)));
   filter.SetVectorSize(16);
   filter.SetExecVerifier(&verifier);
-  auto result = exec::Drain(filter);
+  auto result = exec::DrainChunks(filter);
   BORNSQL_ASSERT_OK(result.status());
-  EXPECT_EQ(result->rows.size(), 100u);
+  EXPECT_EQ(result->row_count, 100u);
   const ChunkVerifierStats& stats = verifier.stats();
   EXPECT_EQ(stats.violations, 0u);
   // Two operators, 100 rows in 16-row chunks: 7 produced chunks each plus
@@ -303,6 +303,40 @@ TEST(ChunkVerifierSurfaceTest, BornStatVerifierReportsLifetimeTotals) {
   EXPECT_GE(r.rows[0][1].AsInt(), 1);  // the SELECT above was verified
   EXPECT_GE(r.rows[0][3].AsInt(), 1);  // ...and produced checked chunks
   EXPECT_EQ(r.rows[0][6].AsInt(), 0);  // no violations
+}
+
+// Plan-time subqueries run through the SELECT core's run step, so the
+// verifier is armed on their plans too: each counts as a verified plan,
+// and the rows its scan checks show up in born_stat_verifier.
+TEST(ChunkVerifierSurfaceTest, SubqueryPlansAreVerified) {
+  engine::EngineConfig cfg;
+  cfg.verify_chunks = true;
+  engine::Database db(cfg);
+  BORNSQL_ASSERT_OK(db.Execute("CREATE TABLE t (a INTEGER)").status());
+  std::string values;
+  for (int i = 0; i < 100; ++i) {
+    values += (i == 0 ? "(" : ", (") + std::to_string(i) + ")";
+  }
+  BORNSQL_ASSERT_OK(db.Execute("INSERT INTO t VALUES " + values).status());
+  const char* kCounters =
+      "SELECT queries_verified, rows_checked, violations "
+      "FROM born_stat_verifier";
+
+  MustQuery(db, "SELECT (SELECT MAX(a) FROM t)");
+  // The view snapshots the totals before its own plan runs: the subquery
+  // and the outer SELECT so far. The outer SingleRow/Project pair checks
+  // two rows; the rest are the subquery's scan and aggregate.
+  auto r = MustQuery(db, kCounters);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 2);
+  EXPECT_GE(r.rows[0][1].AsInt(), 100);
+  const int64_t rows_before = r.rows[0][1].AsInt();
+
+  // A DELETE's only plan is its subquery's.
+  MustQuery(db, "DELETE FROM t WHERE a IN (SELECT a FROM t WHERE a >= 50)");
+  r = MustQuery(db, kCounters);
+  EXPECT_EQ(r.rows[0][0].AsInt(), 4);  // + the first view read + the DELETE
+  EXPECT_GE(r.rows[0][1].AsInt() - rows_before, 100);
+  EXPECT_EQ(r.rows[0][2].AsInt(), 0);
 }
 
 TEST(ChunkVerifierSurfaceTest, DisabledVerifierAccumulatesNothing) {

@@ -41,9 +41,17 @@ OperatorPtr Rows(Schema schema, std::vector<Row> rows) {
 }
 
 std::vector<Row> MustDrain(Operator& op) {
-  auto result = Drain(op);
+  auto result = DrainChunks(op);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? std::move(result->rows) : std::vector<Row>{};
+  std::vector<Row> rows;
+  if (result.ok()) {
+    for (const DataChunk& chunk : result->chunks) {
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        rows.push_back(chunk.MaterializeRow(i));
+      }
+    }
+  }
+  return rows;
 }
 
 // Drains `op` at the given vector size and returns the rows.
@@ -355,11 +363,11 @@ TEST(ExecChunkTest, EvalChunkCheckedRaisesTheSameErrorAsRowWiseEval) {
 
   ProjectOp chunked = make_project();
   chunked.SetVectorSize(2048);
-  const Status chunked_status = Drain(chunked).status();
+  const Status chunked_status = DrainChunks(chunked).status();
 
   ProjectOp scalar = make_project();
   scalar.SetVectorSize(1);
-  const Status scalar_status = Drain(scalar).status();
+  const Status scalar_status = DrainChunks(scalar).status();
 
   ASSERT_FALSE(chunked_status.ok());
   ASSERT_FALSE(scalar_status.ok());
@@ -402,10 +410,6 @@ TEST(ExecChunkTest, DataChunkAppendHelpers) {
   ASSERT_EQ(row.size(), 2u);
   EXPECT_EQ(row[1].AsText(), "b");
 
-  std::vector<Row> all;
-  chunk.AppendRowsTo(&all);
-  chunk.AppendRowsTo(&all);  // appends, never overwrites
-  EXPECT_EQ(all.size(), 6u);
 }
 
 }  // namespace

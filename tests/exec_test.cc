@@ -33,9 +33,17 @@ OperatorPtr Rows(Schema schema, std::vector<Row> rows) {
 }
 
 std::vector<Row> MustDrain(Operator& op) {
-  auto result = Drain(op);
+  auto result = DrainChunks(op);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? std::move(result->rows) : std::vector<Row>{};
+  std::vector<Row> rows;
+  if (result.ok()) {
+    for (const DataChunk& chunk : result->chunks) {
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        rows.push_back(chunk.MaterializeRow(i));
+      }
+    }
+  }
+  return rows;
 }
 
 TEST(ExecTest, SingleRowEmitsOnce) {

@@ -280,12 +280,15 @@ void LoadJoinFixture(Database* db) {
       "INSERT INTO t2 VALUES (2,20),(3,30),(9,90);"));
 }
 
-// Runs `sql` under a 1-byte query budget and expects a ResourceExhausted
-// failure naming `op_name`; then lifts the limit and expects the same
-// query to succeed (the engine stays usable, nothing leaks).
+// Runs `sql` under a `limit`-byte query budget and expects a
+// ResourceExhausted failure naming `op_name`; then lifts the limit and
+// expects the same query to succeed (the engine stays usable, nothing
+// leaks).
 void ExpectTripsAndRecovers(Database& db, const std::string& sql,
-                            const std::string& op_name) {
-  BORNSQL_ASSERT_OK(db.Execute("SET born.memory_limit = 1").status());
+                            const std::string& op_name, uint64_t limit = 1) {
+  BORNSQL_ASSERT_OK(
+      db.Execute("SET born.memory_limit = " + std::to_string(limit))
+          .status());
   auto result = db.Execute(sql);
   ASSERT_FALSE(result.ok()) << "expected over-budget failure for: " << sql;
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
@@ -370,6 +373,45 @@ TEST(MemoryLimitTest, SystemViewScanTrips) {
   MustQuery(db, "SELECT a FROM t1");  // give the view a row to charge
   ExpectTripsAndRecovers(db, "SELECT * FROM born_stat_statements",
                          "SystemViewScan");
+}
+
+// Plan-time subqueries run through the SELECT core's run step, so the
+// per-query limit covers them in every statement shape: a sort too big for
+// a 4 KiB budget trips alike in the statement's own SELECT and in a scalar,
+// IN or EXISTS subquery of a SELECT, UPDATE, INSERT ... VALUES or DELETE,
+// and a subquery over a materialized CTE the outer query shares.
+TEST(MemoryLimitTest, SubqueriesTripInEveryStatementShape) {
+  Database db;
+  BORNSQL_ASSERT_OK(db.Execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+                        .status());
+  std::string values;
+  for (int i = 0; i < 3000; ++i) {
+    values += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " +
+              std::to_string(i * 7919 % 3000) + ")";
+  }
+  BORNSQL_ASSERT_OK(db.Execute("INSERT INTO t VALUES " + values).status());
+  const std::string sorted = "(SELECT b FROM t ORDER BY b) s";
+  const std::vector<std::string> shapes = {
+      "SELECT COUNT(*) FROM " + sorted,
+      "SELECT (SELECT MAX(b) FROM " + sorted + ")",
+      "SELECT COUNT(*) FROM t WHERE a IN (SELECT b FROM " + sorted + ")",
+      "SELECT COUNT(*) FROM t WHERE EXISTS (SELECT b FROM " + sorted + ")",
+      "WITH c AS (SELECT b FROM t ORDER BY b) "
+      "SELECT COUNT(*) FROM c WHERE b IN (SELECT b FROM c)",
+      "UPDATE t SET b = b WHERE a IN (SELECT b FROM " + sorted + ")",
+      "INSERT INTO t VALUES ((SELECT MAX(b) FROM " + sorted + "), 0)",
+      "DELETE FROM t WHERE a IN (SELECT b FROM " + sorted + ")",
+  };
+  for (const std::string& sql : shapes) {
+    SCOPED_TRACE(sql);
+    ExpectTripsAndRecovers(db, sql, "Sort(1 keys)", /*limit=*/4096);
+  }
+  // Every plan released its charges when it returned: the query rows of
+  // born_stat_memory (the reading query's own included) are all zero.
+  QueryResult result = MustQuery(
+      db,
+      "SELECT current_bytes FROM born_stat_memory WHERE level = 'query'");
+  for (const Row& row : result.rows) EXPECT_EQ(row[0].AsInt(), 0);
 }
 
 TEST(MemoryLimitTest, RejectsNegativeLimit) {

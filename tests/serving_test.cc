@@ -326,6 +326,24 @@ TEST(ServingCacheTest, ParameterInLimitFallsBackUncached) {
   EXPECT_EQ(server->plan_cache().hits(), 0u);
 }
 
+TEST(ServingCacheTest, ParameterInOrderByMatchesUncached) {
+  auto server = MakeServer();
+  auto session = server->Connect();
+  // EXECUTE binds the placeholder into the statement, where an integer
+  // ORDER BY key is a column ordinal: ORDER BY 2 sorts by b. A cached plan
+  // would sort by the constant 2 instead, so the statement stays uncached.
+  MustExecute(*session, "PREPARE o AS SELECT a, b FROM t ORDER BY $1");
+  const std::vector<std::string> by_b = {"4|w", "1|x", "2|y", "3|z"};
+  EXPECT_EQ(testing::RowStrings(MustExecute(*session, "EXECUTE o(2)"),
+                                /*sorted=*/false),
+            by_b);
+  MustExecute(*session, "SET born.plan_cache = 0");
+  EXPECT_EQ(testing::RowStrings(MustExecute(*session, "EXECUTE o(2)"),
+                                /*sorted=*/false),
+            by_b);
+  EXPECT_EQ(server->plan_cache().size(), 0u);
+}
+
 TEST(ServingCacheTest, ExpressionSubqueriesAreNotCached) {
   auto server = MakeServer();
   auto session = server->Connect();

@@ -8,7 +8,9 @@
 #   1e  differential fuzz smoke: 1,000 seeded queries across all 30
 #       configurations (3 join strategies x 9 optimizer settings plus a
 #       per-strategy vector1 scalar-compat lane) and a cached-vs-uncached
-#       serving lane, plan and translation verifiers armed; then a
+#       serving lane, plan and translation verifiers armed; the grammar
+#       includes uncorrelated plan-time subqueries (IN, scalar MAX,
+#       EXISTS over a table or the query's CTE); then a
 #       vector-size sweep (1/3/2048) re-runs a smaller batch so chunked
 #       execution is diffed against tuple-at-a-time at awkward chunk
 #       sizes, once plain and once with the chunk invariant verifier
@@ -86,7 +88,9 @@ if [[ "${1:-}" != "--fast" ]]; then
   # 1,000 seeded grammar queries, each executed under every configuration
   # on the correctness axes (3 join strategies x {all rules on, all off,
   # each rule off, inlined CTEs}) with the plan and translation verifiers
-  # forced on. Any result divergence or verifier violation fails the leg
+  # forced on. Plan-time subqueries (col IN (SELECT ...), comparisons with
+  # (SELECT MAX(...)), [NOT] EXISTS) run through the same SELECT run step
+  # as the outer query, so every lane below checks them too. Any result divergence or verifier violation fails the leg
   # and prints a shrunk counterexample plus its --seed/--repro one-liner.
   # Runs from the leg-1 build: the fuzzer arms the verifiers itself, so an
   # optimized build loses no checking, only wall-clock. Each query also

@@ -78,6 +78,12 @@ struct ScopeEntry {
 struct GenContext {
   std::vector<ScopeEntry> scope;
   Rng* rng;
+  // The query's WITH entry, which subqueries may read besides the base
+  // tables (empty name = none).
+  std::string cte_name;
+  std::vector<ColumnInfo> cte_columns;
+  // False inside a subquery: subqueries do not nest.
+  bool subqueries = true;
 
   const ScopeEntry& AnyEntry() {
     return scope[rng->Uniform(scope.size())];
@@ -159,9 +165,46 @@ std::string IntExpr(GenContext& ctx, int depth) {
   }
 }
 
+std::string Predicate(GenContext& ctx);
+
+// Uncorrelated subquery over one fixture table or the query's CTE: the
+// planner runs it before the outer query and folds its result into an IN
+// set, a scalar or a boolean. It has its own alias and scope, so it never
+// references the outer query.
+std::string SubqueryComparison(GenContext& ctx) {
+  static const char* kOps[] = {"=", "<>", "<", "<=", ">", ">="};
+  Rng& rng = *ctx.rng;
+  GenContext inner{{}, &rng};
+  inner.subqueries = false;
+  std::string from;
+  if (!ctx.cte_name.empty() && rng.Bernoulli(0.3)) {
+    from = ctx.cte_name;
+    inner.scope.push_back({"q", ctx.cte_columns});
+  } else {
+    const TableInfo& table = Tables()[rng.Uniform(Tables().size())];
+    from = table.name;
+    inner.scope.push_back({"q", table.columns});
+  }
+  const std::string col = PickColumn(inner, true, false, false);
+  std::string body = " FROM " + from + " q";
+  if (rng.Bernoulli(0.5)) body += " WHERE " + Predicate(inner);
+  switch (rng.Uniform(3)) {
+    case 0:
+      return PickColumn(ctx, true, false, false) + " IN (SELECT " + col +
+             body + ")";
+    case 1:
+      return IntExpr(ctx, 1) + " " + kOps[rng.Uniform(6)] + " (SELECT MAX(" +
+             col + ")" + body + ")";
+    default:
+      return std::string(rng.Bernoulli(0.3) ? "NOT " : "") +
+             "EXISTS (SELECT " + col + body + ")";
+  }
+}
+
 std::string Comparison(GenContext& ctx) {
   static const char* kOps[] = {"=", "<>", "<", "<=", ">", ">="};
   Rng& rng = *ctx.rng;
+  if (ctx.subqueries && rng.Bernoulli(0.1)) return SubqueryComparison(ctx);
   switch (rng.Uniform(6)) {
     case 0:  // int comparison
     case 1:
@@ -299,14 +342,12 @@ QuerySpec GenerateQuery(Rng& rng) {
   };
 
   // Optional CTE, referenced once or twice (twice exercises the
-  // materialize-vs-inline axis hardest).
-  std::string cte_name;
-  std::vector<ColumnInfo> cte_columns;
+  // materialize-vs-inline axis hardest), by FROM items and subqueries.
   if (rng.Bernoulli(0.35)) {
     SubSelect sub = GenerateSubSelect(rng);
-    cte_name = "c0";
-    cte_columns = sub.columns;
-    q.cte_sqls.push_back(cte_name + " AS (" + sub.sql + ")");
+    ctx.cte_name = "c0";
+    ctx.cte_columns = sub.columns;
+    q.cte_sqls.push_back(ctx.cte_name + " AS (" + sub.sql + ")");
   }
 
   // FROM clause: 1-3 items, joined along schema edges where possible.
@@ -317,9 +358,9 @@ QuerySpec GenerateQuery(Rng& rng) {
     std::string source_table;  // base table name when this item is one
     std::vector<ColumnInfo> columns;
     const uint64_t shape = rng.Uniform(10);
-    if (!cte_name.empty() && shape < 3) {
-      item.sql = cte_name + " " + item.alias;
-      columns = cte_columns;
+    if (!ctx.cte_name.empty() && shape < 3) {
+      item.sql = ctx.cte_name + " " + item.alias;
+      columns = ctx.cte_columns;
     } else if (shape < 5) {
       SubSelect sub = GenerateSubSelect(rng);
       item.sql = "(" + sub.sql + ") " + item.alias;

@@ -29,6 +29,9 @@
 // under reordering is unspecified), and division only by non-zero
 // constants (a row-dependent error could be masked by a legal conjunct
 // reordering in one configuration but not another).
+// Expression subqueries are uncorrelated only (IN, a comparison with
+// SELECT MAX(...), [NOT] EXISTS, over a fixture table or the query's CTE),
+// the shapes the planner folds to constants by running them at plan time.
 //
 // Reproduce any failure from its seed and index:
 //   bornsql_fuzzer --seed=S --repro=I
